@@ -11,7 +11,7 @@ generators that serve as ground-truth oracles.
 __version__ = "0.1.0"
 
 from .detector import build_kernel, convolve, default_window, detect, locate_peak, reaction_time
-from .kinematics import frame_displacement, velocity_series
+from .kinematics import velocity_series
 from .pose import parse_pose_stream, select_upper_body, validate_stream, write_pose_stream
 from .spectral import cwt_gaus2, fft_magnitude, peak_scale_map
 from .stats import paired_ttest, significance_grid, summarize, welch_ttest
@@ -26,7 +26,6 @@ __all__ = [
     "default_window",
     "detect",
     "fft_magnitude",
-    "frame_displacement",
     "gen_pose_stream",
     "gen_srt_dataset",
     "latency_budget_check",

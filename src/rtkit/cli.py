@@ -391,6 +391,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("argument --config: expected one argument")
     cfg_path = argv[i + 1]
     with open(cfg_path, encoding="utf-8") as fh:
         cfg = json.load(fh)

@@ -25,10 +25,6 @@ class EmptyStream(ToolkitError):
 
 # --- kinematics ---
 
-class MismatchedLandmarks(ToolkitError):
-    """Two frames do not carry the same landmark id set."""
-
-
 class GapError(ToolkitError):
     """Frame gaps found where a contiguous stream is required."""
 

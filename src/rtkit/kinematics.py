@@ -14,23 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GapError, MismatchedLandmarks
-from .pose import GAP_TOLERANCE, PoseFrame, PoseStream
-
-
-def _dim_count(dims: str) -> int:
-    if dims == "xy":
-        return 2
-    if dims == "xyz":
-        return 3
-    raise ValueError(f"dims must be 'xy' or 'xyz', got {dims!r}")
-
-
-@dataclass(frozen=True)
-class VelocitySample:
-    frame_index: int
-    t_ms: float
-    v: float
+from .errors import GapError
+from .pose import GAP_TOLERANCE, PoseStream
 
 
 @dataclass
@@ -59,20 +44,6 @@ class VelocitySeries:
     def frame_ms(self) -> float:
         return 1000.0 / self.fps
 
-    def sample(self, i: int) -> VelocitySample:
-        return VelocitySample(int(self.frame_index[i]), float(self.t_ms[i]), float(self.v[i]))
-
-
-def frame_displacement(prev: PoseFrame, curr: PoseFrame, dims: str = "xyz") -> float:
-    """Total pairwise landmark displacement between two frames (input units)."""
-    if prev.landmark_ids != curr.landmark_ids:
-        raise MismatchedLandmarks(
-            f"frames {prev.frame_index} and {curr.frame_index} carry different landmark ids"
-        )
-    d = _dim_count(dims)
-    diff = curr.coords()[:, :d] - prev.coords()[:, :d]
-    return float(np.sqrt((diff**2).sum(axis=1)).sum())
-
 
 def velocity_series(stream: PoseStream, dims: str = "xyz") -> VelocitySeries:
     """Per-frame-pair movement speed for the whole stream.
@@ -80,7 +51,8 @@ def velocity_series(stream: PoseStream, dims: str = "xyz") -> VelocitySeries:
     Raises GapError when any timestamp delta is outside +/-50% of the
     nominal frame duration; callers may subdivide the stream and retry.
     """
-    d = _dim_count(dims)
+    if dims not in ("xy", "xyz"):
+        raise ValueError(f"dims must be 'xy' or 'xyz', got {dims!r}")
     if stream.n_frames < 2:
         raise ValueError("need at least 2 frames")
     deltas = np.diff(stream.timestamps_ms)
@@ -92,7 +64,7 @@ def velocity_series(stream: PoseStream, dims: str = "xyz") -> VelocitySeries:
             f"{stream.source_id}: {len(frames)} frame gap(s), first before frame {frames[0]}",
             frame_indices=frames,
         )
-    step = np.diff(stream.coords[:, :, :d], axis=0)
+    step = np.diff(stream.coords[:, :, : len(dims)], axis=0)
     disp = np.sqrt((step**2).sum(axis=2)).sum(axis=1)
     v = disp / (deltas / 1000.0)
     fps = 1000.0 / float(np.median(deltas))

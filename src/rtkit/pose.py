@@ -1,8 +1,9 @@
-"""Pose-landmark stream ingestion: parsing, validation, upper-body filtering.
+"""Pose-landmark stream ingestion: parsing, writing, validation, upper-body filtering.
 
-Streams are stored column-wise in numpy arrays; ``PoseFrame``/``Landmark``
-views are materialized on demand so per-frame access stays cheap for
-million-frame batches.
+A stream is held column-wise in numpy arrays, from the parsed file to the
+detector. Each file format is read into one table of landmark rows, split
+into frames and checked as whole arrays; there is no per-frame or
+per-landmark object.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,34 +22,6 @@ UPPER_BODY_IDS = tuple(range(25))
 
 # a frame-to-frame delta further than 50% from nominal is a gap/anomaly
 GAP_TOLERANCE = 0.5
-
-
-@dataclass(frozen=True)
-class Landmark:
-    """One tracked skeletal keypoint."""
-
-    id: int
-    x: float
-    y: float
-    z: float = 0.0
-    visibility: float = 1.0
-
-
-@dataclass(frozen=True)
-class PoseFrame:
-    """Single-frame view over a stream; landmarks ordered by id."""
-
-    frame_index: int
-    timestamp_ms: float
-    landmarks: tuple[Landmark, ...]
-
-    @property
-    def landmark_ids(self) -> tuple[int, ...]:
-        return tuple(lm.id for lm in self.landmarks)
-
-    def coords(self) -> np.ndarray:
-        """(n_landmarks, 3) array of x/y/z."""
-        return np.array([[lm.x, lm.y, lm.z] for lm in self.landmarks], dtype=float)
 
 
 @dataclass
@@ -89,23 +61,6 @@ class PoseStream:
     def frame_ms(self) -> float:
         return 1000.0 / self.nominal_fps
 
-    def frame(self, i: int) -> PoseFrame:
-        lms = tuple(
-            Landmark(
-                int(self.landmark_ids[j]),
-                float(self.coords[i, j, 0]),
-                float(self.coords[i, j, 1]),
-                float(self.coords[i, j, 2]),
-                float(self.visibility[i, j]),
-            )
-            for j in range(self.n_landmarks)
-        )
-        return PoseFrame(int(self.frame_index[i]), float(self.timestamps_ms[i]), lms)
-
-    def frames(self) -> Iterator[PoseFrame]:
-        for i in range(self.n_frames):
-            yield self.frame(i)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoseStream):
             return NotImplemented
@@ -121,50 +76,17 @@ class PoseStream:
         )
 
 
-def stream_from_frames(
-    frames: Sequence[PoseFrame],
-    source_id: str = "",
-    nominal_fps: float = 30.0,
-    has_z: bool = True,
-) -> PoseStream:
-    """Assemble a PoseStream from PoseFrame objects (all same landmark ids)."""
-    if not frames:
-        raise EmptyStream(f"{source_id}: no frames")
-    ids = frames[0].landmark_ids
-    for f in frames:
-        if f.landmark_ids != ids:
-            raise SchemaError(f"frame {f.frame_index}: landmark ids differ from frame {frames[0].frame_index}")
-    coords = np.array([[[lm.x, lm.y, lm.z] for lm in f.landmarks] for f in frames], dtype=float)
-    vis = np.array([[lm.visibility for lm in f.landmarks] for f in frames], dtype=float)
-    return PoseStream(
-        source_id=source_id,
-        nominal_fps=nominal_fps,
-        landmark_ids=np.array(ids, dtype=int),
-        frame_index=np.array([f.frame_index for f in frames], dtype=int),
-        timestamps_ms=np.array([f.timestamp_ms for f in frames], dtype=float),
-        coords=coords,
-        visibility=vis,
-        has_z=has_z,
-    )
-
-
 # ---------------------------------------------------------------------------
 # parsing / writing
 # ---------------------------------------------------------------------------
 
 _CSV_REQUIRED = ("frame", "id", "x", "y")
-
-
-def _finish_frame(frame_no, ts, rows, line_no, expect_count=33):
-    if len(rows) != expect_count:
-        raise SchemaError(
-            f"frame {frame_no}: expected {expect_count} landmarks, got {len(rows)} (near line {line_no})"
-        )
-    rows.sort(key=lambda r: r[0])
-    ids = [r[0] for r in rows]
-    if ids != sorted(set(ids)):
-        raise SchemaError(f"frame {frame_no}: duplicate landmark ids")
-    return frame_no, ts, rows
+# every CSV column the parser reads, in row order, with its type
+_CSV_TYPES = {"frame": int, "timestamp_ms": float, "id": int, "x": float, "y": float, "z": float, "visibility": float}
+# a CSV line of only commas and whitespace (what str.strip removes; U+3000 is the last) is blank
+_BLANK = "," + "".join(filter(str.isspace, map(chr, range(0x3001))))
+# frames formatted per write call; bounds the writer's memory on long streams
+_WRITE_BLOCK = 256
 
 
 def parse_pose_stream(
@@ -176,9 +98,12 @@ def parse_pose_stream(
     """Parse a pose file into a validated PoseStream.
 
     ``format`` is "csv" or "jsonl"; inferred from the suffix when omitted.
-    Raises ParseError (bad row, with line number), SchemaError (landmark
-    count / ids), EmptyStream. Missing timestamps are synthesized from
-    ``nominal_fps`` and flagged on the stream.
+    Each frame must hold exactly 33 distinct landmark ids, in any order
+    (they are sorted by id), and every frame the same id set; frame numbers
+    and timestamps must increase strictly. Raises ParseError (bad row, with
+    line number), SchemaError (landmark count / ids / order), EmptyStream.
+    Missing timestamps are synthesized from ``nominal_fps`` and flagged on
+    the stream.
     """
     path = Path(path)
     if not path.exists():
@@ -189,94 +114,92 @@ def parse_pose_stream(
         raise ValueError(f"unknown format {format!r}")
     sid = source_id if source_id is not None else path.stem
 
-    if format == "csv":
-        frames, has_z, has_ts = _parse_csv(path)
-    else:
-        frames, has_z, has_ts = _parse_jsonl(path)
-    if not frames:
-        raise EmptyStream(f"{path}: no frames")
-
-    frame_no = np.array([f[0] for f in frames], dtype=int)
-    if np.any(np.diff(frame_no) <= 0):
-        bad = int(np.nonzero(np.diff(frame_no) <= 0)[0][0])
-        raise SchemaError(f"frame index not strictly increasing at frame {frame_no[bad + 1]}")
-    if has_ts:
-        ts = np.array([f[1] for f in frames], dtype=float)
-        if np.any(np.diff(ts) <= 0):
-            bad = int(np.nonzero(np.diff(ts) <= 0)[0][0])
-            raise SchemaError(f"timestamps not strictly increasing at frame {frame_no[bad + 1]}")
-    else:
-        ts = frame_no * (1000.0 / nominal_fps)
-
-    ids = np.array([r[0] for r in frames[0][2]], dtype=int)
-    coords = np.empty((len(frames), len(ids), 3), dtype=float)
-    vis = np.empty((len(frames), len(ids)), dtype=float)
-    for i, (_, _, rows) in enumerate(frames):
-        row_ids = [r[0] for r in rows]
-        if not np.array_equal(row_ids, ids):
-            raise SchemaError(f"frame {frames[i][0]}: landmark ids differ from first frame")
-        for j, (_, x, y, z, v) in enumerate(rows):
-            coords[i, j] = (x, y, z)
-            vis[i, j] = v
+    read = _read_csv if format == "csv" else _read_jsonl
+    frame_no, ts, starts, near_line, rows, has_z = read(path)
+    n, L = len(frame_no), len(FULL_BODY_IDS)
+    counts = np.diff(starts, append=len(rows))
+    _reject(
+        counts != L,
+        lambda k: f"frame {frame_no[k]}: expected {L} landmarks, got {counts[k]} (near line {near_line[k]})",
+    )
+    rows = rows.reshape(n, L, 5)
+    rows = np.take_along_axis(rows, np.argsort(rows[:, :, 0], axis=1)[:, :, None], axis=1)
+    ids = rows[:, :, 0]
+    _reject((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids")
+    _reject(np.diff(frame_no) <= 0, lambda k: f"frame index not strictly increasing at frame {frame_no[k + 1]}")
+    if ts is not None:
+        _reject(np.diff(ts) <= 0, lambda k: f"timestamps not strictly increasing at frame {frame_no[k + 1]}")
+    _reject((ids != ids[0]).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame")
 
     return PoseStream(
         source_id=sid,
         nominal_fps=nominal_fps,
-        landmark_ids=ids,
+        landmark_ids=ids[0].astype(int),
         frame_index=frame_no,
-        timestamps_ms=ts,
-        coords=coords,
-        visibility=vis,
+        timestamps_ms=frame_no * (1000.0 / nominal_fps) if ts is None else ts,
+        coords=np.ascontiguousarray(rows[:, :, 1:4]),
+        visibility=np.ascontiguousarray(rows[:, :, 4]),
         has_z=has_z,
-        timestamps_synthesized=not has_ts,
+        timestamps_synthesized=ts is None,
     )
 
 
-def _parse_csv(path: Path):
-    frames = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return [], False, False
-        header = [h.strip() for h in header]
-        for col in _CSV_REQUIRED:
-            if col not in header:
-                raise ParseError(f"missing column {col!r} in header", line=1)
-        col = {name: header.index(name) for name in header}
-        has_z = "z" in col
-        has_ts = "timestamp_ms" in col
-        has_vis = "visibility" in col
+def _reject(bad: np.ndarray, message) -> None:
+    """Raise SchemaError with ``message(k)`` for the first index k where ``bad`` holds."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise SchemaError(message(int(hits[0])))
 
-        cur_no, cur_ts, rows = None, None, []
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
+
+# Both readers return: frame numbers, timestamps (None when absent), first
+# row of each frame, line to name in a landmark-count error, rows of
+# id/x/y/z/visibility, has_z.
+
+
+def _read_csv(path: Path):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise EmptyStream(f"{path}: no frames")
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    for name in _CSV_REQUIRED:
+        if name not in header:
+            raise ParseError(f"missing column {name!r} in header", line=1)
+    names = [name for name in _CSV_TYPES if name in header]
+    usecols = [header.index(name) for name in names]
+    kept = [i for i in range(1, len(lines)) if lines[i].strip(_BLANK)]
+    if not kept:
+        raise EmptyStream(f"{path}: no frames")
+    dtype = [(name, _CSV_TYPES[name]) for name in names]
+    try:
+        table = np.loadtxt(
+            [lines[i] for i in kept], dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=1
+        )
+    except ValueError as exc:
+        # the bulk read failed: find the first line int()/float() reject to name it
+        for i in kept:
+            raw = next(csv.reader(lines[i : i + 1]))
             try:
-                fno = int(raw[col["frame"]])
-                ts = float(raw[col["timestamp_ms"]]) if has_ts else 0.0
-                lid = int(raw[col["id"]])
-                x = float(raw[col["x"]])
-                y = float(raw[col["y"]])
-                z = float(raw[col["z"]]) if has_z else 0.0
-                v = float(raw[col["visibility"]]) if has_vis else 1.0
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad row: {exc}", line=line_no) from exc
-            if cur_no is None:
-                cur_no, cur_ts = fno, ts
-            elif fno != cur_no:
-                frames.append(_finish_frame(cur_no, cur_ts, rows, line_no))
-                cur_no, cur_ts, rows = fno, ts, []
-            rows.append((lid, x, y, z, v))
-        if cur_no is not None:
-            frames.append(_finish_frame(cur_no, cur_ts, rows, line_no if frames or rows else 1))
-    return frames, has_z, has_ts
+                for name, j in zip(names, usecols):
+                    _CSV_TYPES[name](raw[j])
+            except (ValueError, IndexError) as bad:
+                raise ParseError(f"bad row: {bad}", line=i + 1) from bad
+        raise ParseError(f"bad row: {exc}") from exc
+
+    frame = table["frame"]
+    starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
+    # a frame's rows end where the next frame starts, or at the last line
+    near_line = np.append(np.asarray(kept)[starts[1:]] + 1, len(lines))
+    z = table["z"] if "z" in names else np.zeros(len(table))
+    vis = table["visibility"] if "visibility" in names else np.ones(len(table))
+    rows = np.column_stack([table["id"], table["x"], table["y"], z, vis])
+    ts = table["timestamp_ms"][starts] if "timestamp_ms" in names else None
+    return frame[starts], ts, starts, near_line, rows, "z" in names
 
 
-def _parse_jsonl(path: Path):
-    frames = []
-    has_z = has_ts = True
+def _read_jsonl(path: Path):
+    frame_no, ts, starts, frame_lines, rows = [], [], [], [], []
+    has_z = True
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -287,72 +210,74 @@ def _parse_jsonl(path: Path):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc.msg}", line=line_no) from exc
             try:
-                fno = int(obj["frame"])
-                if "timestamp_ms" in obj:
-                    ts = float(obj["timestamp_ms"])
-                else:
-                    has_ts, ts = False, 0.0
-                rows = []
-                for lm in obj["landmarks"]:
-                    if "z" not in lm:
-                        has_z = False
-                    rows.append(
-                        (
-                            int(lm["id"]),
-                            float(lm["x"]),
-                            float(lm["y"]),
-                            float(lm.get("z", 0.0)),
-                            float(lm.get("v", 1.0)),
-                        )
-                    )
+                frame_no.append(int(obj["frame"]))
+                ts.append(float(obj["timestamp_ms"]) if "timestamp_ms" in obj else None)
+                landmarks = obj["landmarks"]
+                has_z = has_z and all("z" in lm for lm in landmarks)
+                starts.append(len(rows))
+                rows.extend(
+                    (int(lm["id"]), float(lm["x"]), float(lm["y"]), float(lm.get("z", 0.0)), float(lm.get("v", 1.0)))
+                    for lm in landmarks
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad frame object: {exc}", line=line_no) from exc
-            frames.append(_finish_frame(fno, ts, rows, line_no))
-    return frames, has_z, has_ts
+            frame_lines.append(line_no)
+    if not frame_no:
+        raise EmptyStream(f"{path}: no frames")
+    ts = None if None in ts else np.array(ts)
+    return np.array(frame_no), ts, np.array(starts), frame_lines, np.array(rows, dtype=float).reshape(-1, 5), has_z
 
 
 def write_pose_stream(stream: PoseStream, path: str | Path, format: str | None = None) -> None:
-    """Write a stream back out; round-trips exactly through parse_pose_stream."""
+    """Write a stream back out; round-trips exactly through parse_pose_stream.
+
+    Floats are written as ``repr`` (CSV, with ``\\r\\n`` line ends) or as
+    ``json.dumps`` spells them (JSONL), so every value reads back unchanged.
+    """
     path = Path(path)
     if format is None:
         format = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frame", "timestamp_ms", "id", "x", "y", "z", "visibility"])
-            for i in range(stream.n_frames):
-                for j in range(stream.n_landmarks):
-                    w.writerow(
-                        [
-                            int(stream.frame_index[i]),
-                            repr(float(stream.timestamps_ms[i])),
-                            int(stream.landmark_ids[j]),
-                            repr(float(stream.coords[i, j, 0])),
-                            repr(float(stream.coords[i, j, 1])),
-                            repr(float(stream.coords[i, j, 2])),
-                            repr(float(stream.visibility[i, j])),
-                        ]
-                    )
-    elif format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for i in range(stream.n_frames):
-                obj = {
-                    "frame": int(stream.frame_index[i]),
-                    "timestamp_ms": float(stream.timestamps_ms[i]),
-                    "landmarks": [
-                        {
-                            "id": int(stream.landmark_ids[j]),
-                            "x": float(stream.coords[i, j, 0]),
-                            "y": float(stream.coords[i, j, 1]),
-                            "z": float(stream.coords[i, j, 2]),
-                            "v": float(stream.visibility[i, j]),
-                        }
-                        for j in range(stream.n_landmarks)
-                    ],
-                }
-                fh.write(json.dumps(obj) + "\n")
-    else:
+    if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}")
+    block = _csv_block if format == "csv" else _jsonl_block
+    with open(path, "w", newline="" if format == "csv" else None, encoding="utf-8") as fh:
+        if format == "csv":
+            fh.write(",".join(_CSV_TYPES) + "\r\n")
+        for lo in range(0, stream.n_frames, _WRITE_BLOCK):
+            fh.write(block(stream, slice(lo, lo + _WRITE_BLOCK)))
+
+
+def _csv_block(stream: PoseStream, frames: slice) -> str:
+    frame_index = stream.frame_index[frames]
+    L = stream.n_landmarks
+    columns = (
+        np.repeat(frame_index, L),
+        np.repeat(np.asarray(stream.timestamps_ms[frames], dtype=float), L),
+        np.tile(stream.landmark_ids, len(frame_index)),
+        *np.asarray(stream.coords[frames], dtype=float).reshape(-1, 3).T,
+        np.asarray(stream.visibility[frames], dtype=float).ravel(),
+    )
+    return "".join("%d,%r,%d,%r,%r,%r,%r\r\n" % row for row in zip(*(c.tolist() for c in columns)))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each value spelled as json.dumps spells a float (NaN and Infinity included)."""
+    return json.dumps(np.asarray(values, dtype=float).ravel().tolist())[1:-1].split(", ")
+
+
+def _jsonl_block(stream: PoseStream, frames: slice) -> str:
+    coords = stream.coords[frames]
+    ts, x, y, z, v = map(
+        _json_floats,
+        (stream.timestamps_ms[frames], coords[:, :, 0], coords[:, :, 1], coords[:, :, 2], stream.visibility[frames]),
+    )
+    ids = stream.landmark_ids.tolist()
+    L = len(ids)
+    landmarks = ['{"id": %d, "x": %s, "y": %s, "z": %s, "v": %s}' % lm for lm in zip(ids * len(ts), x, y, z, v)]
+    return "".join(
+        '{"frame": %d, "timestamp_ms": %s, "landmarks": [%s]}\n' % (f, t, ", ".join(landmarks[i * L : (i + 1) * L]))
+        for i, (f, t) in enumerate(zip(stream.frame_index[frames].tolist(), ts))
+    )
 
 
 # ---------------------------------------------------------------------------

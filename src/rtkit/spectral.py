@@ -54,10 +54,6 @@ class MagnitudeSpectrum:
     fps: float
     n: int
 
-    @property
-    def bins(self) -> list[tuple[float, float]]:
-        return [(float(f), float(m)) for f, m in zip(self.freq_hz, self.magnitude)]
-
     def dominant_hz(self, skip_dc: bool = True) -> float:
         mags = self.magnitude[1:] if skip_dc else self.magnitude
         off = 1 if skip_dc else 0

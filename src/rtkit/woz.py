@@ -253,13 +253,18 @@ class ParsedLog:
 def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> ParsedLog:
     """Parse a wire-format log and pair triggers with responses.
 
-    Responses without a matching prior trigger are flagged as orphans;
-    triggers whose response exceeds ``max_rt_ms`` (or never arrives) are
-    flagged as misses. Raises ParseError with the offending line number.
+    Each trigger seq may appear once; a repeated TRIG seq (as in two script
+    runs written into one log) raises ParseError at the repeated line. A
+    trigger is paired with its first response, in log order, after its
+    dispatch. Responses with no such trigger, and later responses to an
+    already paired trigger, are flagged as orphans; triggers whose response
+    exceeds ``max_rt_ms`` (or never arrives) are flagged as misses. Raises
+    ParseError with the offending line number.
     """
     triggers: list[TriggerEvent] = []
     acks: list[AckEvent] = []
     responses: list[ResponseEvent] = []
+    by_seq: dict[int, TriggerEvent] = {}
     version = "1"
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -275,9 +280,11 @@ def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> Parse
             parts = line.split()
             try:
                 if parts[0] == "TRIG" and len(parts) == 5:
-                    triggers.append(
-                        TriggerEvent(int(parts[1]), int(parts[3]), int(parts[4]), parts[2])
-                    )
+                    trig = TriggerEvent(int(parts[1]), int(parts[3]), int(parts[4]), parts[2])
+                    if trig.seq in by_seq:
+                        raise ParseError(f"repeated trigger seq {trig.seq}", line=line_no)
+                    by_seq[trig.seq] = trig
+                    triggers.append(trig)
                 elif parts[0] == "ACK" and len(parts) == 3:
                     acks.append(AckEvent(int(parts[1]), int(parts[2])))
                 elif parts[0] == "RESP" and len(parts) == 3:
@@ -287,13 +294,12 @@ def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> Parse
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad event line {line!r}: {exc}", line=line_no) from exc
 
-    by_seq = {t.seq: t for t in triggers}
     srt_events: list[SrtEvent] = []
     orphans: list[ResponseEvent] = []
     responded: set[int] = set()
     for resp in responses:
         trig = by_seq.get(resp.seq)
-        if trig is None or resp.response_ms <= trig.dispatched_ms:
+        if trig is None or resp.response_ms <= trig.dispatched_ms or trig.seq in responded:
             orphans.append(resp)
             continue
         rt = resp.response_ms - trig.dispatched_ms

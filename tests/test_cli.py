@@ -194,6 +194,13 @@ def test_config_file_precedence(tmp_path):
     assert echoed2["seed"] == 11 and echoed2["rho"] == 0.75
 
 
+def test_config_as_last_argument_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "srt", "--seed", 3, "--out", tmp_path / "d", "--config")
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_outputs_do_not_mutate_inputs(tmp_path):
     srt_dir = tmp_path / "srt"
     run_cli("synth", "srt", "--seed", 3, "--out", srt_dir)

@@ -6,21 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_stream
-from rtkit.errors import GapError, MismatchedLandmarks
-from rtkit.kinematics import frame_displacement, velocity_series, write_velocity_csv
-
-
-def test_zero_motion_identity(static_stream):
-    f0, f1 = static_stream.frame(0), static_stream.frame(1)
-    assert frame_displacement(f0, f1) == 0.0
+from rtkit.errors import GapError
+from rtkit.kinematics import velocity_series, write_velocity_csv
 
 
 def test_single_landmark_345_triangle():
+    # a 0.5-unit step in one frame at 30 fps is 15 units/s
     coords = np.zeros((2, 33, 3))
     coords[1, 4] = (0.3, 0.4, 0.0)
-    stream = make_stream(coords)
-    d = frame_displacement(stream.frame(0), stream.frame(1), dims="xy")
-    assert d == pytest.approx(0.5, abs=1e-12)
+    series = velocity_series(make_stream(coords), dims="xy")
+    assert series.v[0] == pytest.approx(15.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -29,19 +24,12 @@ def test_displacement_matches_bruteforce(seed, dims):
     rng = np.random.default_rng(seed)
     coords = rng.normal(size=(2, 25, 3))
     stream = make_stream(coords)
-    prev, curr = stream.frame(0), stream.frame(1)
-    nd = 2 if dims == "xy" else 3
     expected = 0.0
-    for a, b in zip(prev.landmarks, curr.landmarks):
-        expected += math.sqrt(sum((getattr(b, c) - getattr(a, c)) ** 2 for c in "xyz"[:nd]))
-    assert frame_displacement(prev, curr, dims=dims) == pytest.approx(expected, rel=1e-12)
-
-
-def test_mismatched_landmark_sets():
-    s33 = make_stream(np.zeros((2, 33, 3)))
-    s25 = make_stream(np.zeros((2, 25, 3)))
-    with pytest.raises(MismatchedLandmarks):
-        frame_displacement(s33.frame(0), s25.frame(1))
+    for prev, curr in zip(coords[0].tolist(), coords[1].tolist()):
+        expected += math.sqrt(sum((b - a) ** 2 for a, b in zip(prev[: len(dims)], curr[: len(dims)])))
+    # one sample is the summed displacement over the frame duration
+    v = velocity_series(stream, dims=dims).v[0]
+    assert v == pytest.approx(expected * stream.nominal_fps, rel=1e-12)
 
 
 def test_static_subject_all_zero(static_stream):

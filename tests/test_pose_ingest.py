@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,9 +62,119 @@ def test_parse_bad_row_reports_line(tmp_path):
 
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("frame,timestamp_ms,id,x,y,z,visibility\n")
-    with pytest.raises(EmptyStream):
+    for body in ("", "\n  \n,,,\n"):
+        path.write_text("frame,timestamp_ms,id,x,y,z,visibility\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyStream):
+                parse_pose_stream(path)
+
+
+def test_parse_rows_in_any_id_order(tmp_path):
+    path = tmp_path / "rev.csv"
+    frames = [(fno, ts, lms[::-1]) for fno, ts, lms in simple_frames(2)]
+    write_csv(path, frames)
+    stream = parse_pose_stream(path)
+    assert list(stream.landmark_ids) == list(range(33))
+    assert np.allclose(stream.coords[:, :, 0], 0.1 * np.arange(33))
+
+
+def test_parse_duplicate_landmark_ids(tmp_path):
+    path = tmp_path / "dup.csv"
+    frames = simple_frames(2)
+    frames[0][2][32] = (31, 0.0, 0.0, 0.0, 1.0)
+    write_csv(path, frames)
+    with pytest.raises(SchemaError, match="frame 0: duplicate landmark ids"):
         parse_pose_stream(path)
+
+
+def test_parse_landmark_ids_differ_between_frames(tmp_path):
+    path = tmp_path / "ids.csv"
+    frames = simple_frames(2)
+    frames[1] = (1, 33.25, [(j + 1, 0.0, 0.0, 0.0, 1.0) for j in range(33)])
+    write_csv(path, frames)
+    with pytest.raises(SchemaError, match="frame 1: landmark ids differ from first frame"):
+        parse_pose_stream(path)
+
+
+def test_parse_frame_number_returns(tmp_path):
+    path = tmp_path / "back.csv"
+    frames = simple_frames(3)
+    frames[2] = (0, 66.5, frames[2][2])
+    write_csv(path, frames)
+    with pytest.raises(SchemaError, match="not strictly increasing at frame 0"):
+        parse_pose_stream(path)
+
+
+def test_parse_error_line_counts_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    rows = [f"0,0.0,{j},0.1,0.2,0.0,1.0" for j in range(33)]
+    lines = ["frame,timestamp_ms,id,x,y,z,visibility", ""] + rows + ["", "   ", "1,33.25,zero,0.1,0.2,0.0,1.0"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 38"):
+        parse_pose_stream(path)
+
+
+@pytest.mark.parametrize("bad_row", ["1.5,33.25,0,0.1,0.2,0.0,1.0", "1,33.25,0,0.1"])
+def test_parse_bad_frame_or_short_row(tmp_path, bad_row):
+    path = tmp_path / "bad.csv"
+    write_csv(path, simple_frames(1))
+    with open(path, "a") as fh:
+        fh.write(bad_row + "\n")
+    with pytest.raises(ParseError, match="line 35"):
+        parse_pose_stream(path)
+
+
+def test_parse_skips_comma_only_lines(tmp_path):
+    path = tmp_path / "commas.csv"
+    write_csv(path, simple_frames(2))
+    lines = path.read_text().splitlines()
+    lines.insert(34, ",,,,,,")
+    path.write_text("\n".join(lines) + "\n")
+    assert parse_pose_stream(path).n_frames == 2
+
+
+def test_parse_csv_without_z_and_visibility(tmp_path):
+    path = tmp_path / "xy.csv"
+    lines = ["frame,timestamp_ms,id,x,y"]
+    for i in range(2):
+        lines += [f"{i},{i * 33.25},{j},0.5,0.25" for j in range(33)]
+    path.write_text("\n".join(lines) + "\n")
+    stream = parse_pose_stream(path)
+    assert not stream.has_z
+    assert np.all(stream.coords[:, :, 2] == 0.0)
+    assert np.all(stream.visibility == 1.0)
+
+
+def jsonl_frame(fno, n_landmarks=33):
+    return {
+        "frame": fno,
+        "timestamp_ms": fno * 33.25,
+        "landmarks": [{"id": j, "x": 0.1 * j, "y": 0.2, "z": 0.0, "v": 1.0} for j in range(n_landmarks)],
+    }
+
+
+def test_parse_jsonl_bad_json_and_missing_x(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps(jsonl_frame(0))
+    path.write_text(good + "\n\n{not json\n")
+    with pytest.raises(ParseError, match="line 3"):
+        parse_pose_stream(path)
+    obj = jsonl_frame(1)
+    del obj["landmarks"][5]["x"]
+    path.write_text(good + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_pose_stream(path)
+
+
+def test_parse_jsonl_landmark_without_z(tmp_path):
+    path = tmp_path / "noz.jsonl"
+    frames = [jsonl_frame(0), jsonl_frame(1)]
+    del frames[1]["landmarks"][7]["z"]
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    stream = parse_pose_stream(path)
+    assert not stream.has_z
+    assert stream.n_frames == 2
 
 
 def test_parse_missing_file():
@@ -116,6 +229,17 @@ def test_roundtrip_property(tmp_path_factory, n_frames, seed, fmt):
     path = tmp_path_factory.mktemp("rt") / f"s.{fmt}"
     write_pose_stream(stream, path, format=fmt)
     assert parse_pose_stream(path, format=fmt, source_id="test") == stream
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_roundtrip_non_finite_values(tmp_path, fmt):
+    coords = np.zeros((2, 33, 3))
+    coords[1, 3] = (np.nan, np.inf, -np.inf)
+    stream = make_stream(coords)
+    path = tmp_path / f"s.{fmt}"
+    write_pose_stream(stream, path, format=fmt)
+    back = parse_pose_stream(path, format=fmt, source_id="test")
+    assert np.array_equal(back.coords, stream.coords, equal_nan=True)
 
 
 def test_select_upper_body_keeps_25():

@@ -140,6 +140,34 @@ def test_parse_event_log_miss_rules(tmp_path):
     assert log.srt_events[0].is_miss
 
 
+def test_parse_event_log_repeated_trigger_seq(tmp_path):
+    # two script runs written into one log restart their seqs at 1
+    path = tmp_path / "log.txt"
+    path.write_text(
+        "# woz-log v1\n"
+        "TRIG 1 V 10000 10000\n"
+        "TRIG 2 V 20000 20000\n"
+        "TRIG 1 HV 10000 10000\n"
+    )
+    with pytest.raises(ParseError, match="line 4: repeated trigger seq 1"):
+        parse_event_log(path)
+
+
+def test_parse_event_log_first_response_wins(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text(
+        "# woz-log v1\n"
+        "TRIG 1 V 10000 10000\n"
+        "RESP 1 9900\n"  # before dispatch: orphan, does not pair
+        "RESP 1 10400\n"
+        "RESP 1 10900\n"
+    )
+    log = parse_event_log(path)
+    assert [e.rt_ms for e in log.srt_events] == [400]
+    assert [r.response_ms for r in log.orphan_responses] == [9900, 10900]
+    assert log.missed_triggers == []
+
+
 def test_parse_event_log_bad_line_number(tmp_path):
     path = tmp_path / "log.txt"
     path.write_text("# woz-log v1\nTRIG 1 V 10000 10000\nTRIG x V 1 1\n")
