@@ -51,12 +51,6 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _resolve_dims(args, stream) -> str:
-    if args.dims != "auto":
-        return args.dims
-    return "xyz" if stream.has_z else "xy"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -110,18 +104,15 @@ def cmd_detect(args) -> int:
         stream = pose.parse_pose_stream(path, nominal_fps=args.fps)
         if stream.source_id not in baselines:
             raise SystemExit(f"error: no baseline reaction time for participant {stream.source_id!r}")
-        dims = _resolve_dims(args, stream)
-        reports = []
-        for w_t in warnings:
-            est = detector.detect(
-                stream,
-                w_t,
-                baselines[stream.source_id],
-                (args.window_mean, args.window_sd),
-                dims=dims,
-            )
-            reports.append(est.report(include_trace=args.emit_trace))
-            rows.append((stream.source_id, w_t, est.rt_ms, est.t_max_ms, est.peak_value))
+        estimates = detector.detect(
+            stream,
+            warnings,
+            baselines[stream.source_id],
+            (args.window_mean, args.window_sd),
+            dims=None if args.dims == "auto" else args.dims,
+        )
+        reports = [est.report(include_trace=args.emit_trace) for est in estimates]
+        rows += [(stream.source_id, est.warning_t_ms, est.rt_ms, est.t_max_ms, est.peak_value) for est in estimates]
         _atomic_json(out / f"{stream.source_id}_detection.json", {"participant": stream.source_id, "estimates": reports})
 
     lines = ["participant,warning_t_ms,rt_ms,t_max_ms,peak_value"]
@@ -134,8 +125,7 @@ def cmd_detect(args) -> int:
 def cmd_spectral(args) -> int:
     out = Path(args.out)
     stream = pose.parse_pose_stream(args.input, nominal_fps=args.fps)
-    dims = _resolve_dims(args, stream)
-    series = kinematics.velocity_series(pose.select_upper_body(stream), dims=dims)
+    series = kinematics.velocity_series(pose.select_upper_body(stream), dims=None if args.dims == "auto" else args.dims)
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
 

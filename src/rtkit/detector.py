@@ -32,6 +32,7 @@ from .errors import (
     KernelTooShort,
     LengthError,
     NegativeOnset,
+    NonFiniteSignal,
 )
 from .kinematics import VelocitySeries, velocity_series
 from .pose import PoseStream, select_upper_body
@@ -53,7 +54,6 @@ class GaussianKernel:
     sigma_ms: float
     amplitude: float
     frame_ms: float
-    sample_times_ms: np.ndarray
     samples: np.ndarray
 
     def __len__(self) -> int:
@@ -83,7 +83,6 @@ def build_kernel(baseline_rt_ms: float, frame_ms: float) -> GaussianKernel:
     n = int(round(d / frame_ms)) + 1
     # symmetric grid about mu at exact frame spacing; palindromic by construction
     offsets = (np.arange(n) - (n - 1) / 2.0) * frame_ms
-    times = mu + offsets
     samples = np.exp(-(offsets**2) / (2.0 * sigma**2))
     return GaussianKernel(
         duration_ms=d,
@@ -91,7 +90,6 @@ def build_kernel(baseline_rt_ms: float, frame_ms: float) -> GaussianKernel:
         sigma_ms=sigma,
         amplitude=1.0,
         frame_ms=float(frame_ms),
-        sample_times_ms=times,
         samples=samples,
     )
 
@@ -130,8 +128,7 @@ class ConvolutionSeries:
     t_ms: np.ndarray
     values: np.ndarray
     frame_ms: float
-    kernel_len: int
-    method: str
+    frame_index: np.ndarray  # the velocity frame each output sample pairs with
 
     def __len__(self) -> int:
         return len(self.values)
@@ -165,8 +162,7 @@ def convolve(series: VelocitySeries, kernel: GaussianKernel, method: str = "fft"
         t_ms=series.t_ms + center_shift,
         values=full[start : start + n],
         frame_ms=series.frame_ms,
-        kernel_len=m,
-        method=method,
+        frame_index=series.frame_index,
     )
 
 
@@ -184,6 +180,13 @@ def _windowed_argmax(conv: ConvolutionSeries, window: SearchWindow) -> int:
     if np.any(np.abs(deltas - conv.frame_ms) > 0.5 * conv.frame_ms):
         raise GapInWindow(f"sampling gap inside window [{lo}, {hi}] ms")
     vals = conv.values[idx]
+    bad = idx[~np.isfinite(vals)]
+    if bad.size:
+        frames = conv.frame_index[bad].tolist()
+        raise NonFiniteSignal(
+            f"{len(frames)} non-finite convolution value(s) in window [{lo}, {hi}] ms, first at frame {frames[0]}",
+            frame_indices=frames,
+        )
     if np.ptp(vals) == 0.0:
         raise FlatSignal(f"windowed convolution constant over [{lo}, {hi}] ms")
     return int(idx[int(np.argmax(vals))])
@@ -192,9 +195,10 @@ def _windowed_argmax(conv: ConvolutionSeries, window: SearchWindow) -> int:
 def locate_peak(conv: ConvolutionSeries, window: SearchWindow) -> float:
     """Time of the maximum convolution value, relative to the window start.
 
-    Ties break toward the earliest time. Raises FlatSignal when the
-    windowed convolution is constant and GapInWindow when the window
-    covers a sampling gap or falls outside the series.
+    Ties break toward the earliest time. Raises NonFiniteSignal when the
+    windowed convolution holds NaN or infinity, FlatSignal when it is
+    constant and GapInWindow when the window covers a sampling gap or
+    falls outside the series.
     """
     best = _windowed_argmax(conv, window)
     return float(conv.t_ms[best] - window.start_ms)
@@ -214,7 +218,7 @@ def reaction_time(t_max_ms: float, kernel: GaussianKernel) -> float:
 
 @dataclass
 class ReactionEstimate:
-    """One detected reaction with every intermediate artifact retained."""
+    """One detected reaction; the estimates of one ``detect`` call share their kernel, convolution and series."""
 
     source_id: str
     warning_t_ms: float
@@ -225,7 +229,10 @@ class ReactionEstimate:
     window: SearchWindow
     convolution: ConvolutionSeries
     velocity: VelocitySeries
-    dims: str
+
+    @property
+    def dims(self) -> str:
+        return self.velocity.dims
 
     def report(self, include_trace: bool = False) -> dict:
         """JSON-serializable detection report."""
@@ -261,44 +268,43 @@ class ReactionEstimate:
 
 def detect(
     stream: PoseStream,
-    warning_t_ms: float,
+    warnings_ms,
     baseline_rt_ms: float,
     baseline_stats: tuple[float, float],
     dims: str | None = None,
-    method: str = "fft",
-    window: SearchWindow | None = None,
-) -> ReactionEstimate:
-    """End-to-end vision-based reaction time for one warning.
+) -> list[ReactionEstimate]:
+    """End-to-end vision-based reaction times, one estimate per warning.
 
     Pipeline: upper-body filter -> velocity series -> participant kernel ->
-    convolution -> windowed argmax -> onset. ``baseline_stats`` is the
-    (mean, sd) pair that sets the default search-window length.
+    one direct convolution -> windowed argmax and onset per warning time
+    in ``warnings_ms``. ``baseline_stats`` is the (mean, sd) pair that sets
+    the search-window length; ``dims`` defaults as in ``velocity_series``.
     """
-    if dims is None:
-        dims = "xyz" if stream.has_z else "xy"
-    upper = select_upper_body(stream)
-    series = velocity_series(upper, dims=dims)
+    series = velocity_series(select_upper_body(stream), dims=dims)
     kernel = build_kernel(baseline_rt_ms, series.frame_ms)
-    if window is None:
-        window = default_window(baseline_stats[0], baseline_stats[1], series.frame_ms)
-    window = window.at(warning_t_ms)
+    window = default_window(baseline_stats[0], baseline_stats[1], series.frame_ms)
     if window.length_frames < len(kernel):
         raise LengthError(
             f"window of {window.length_frames} frames cannot fit kernel of {len(kernel)} samples"
         )
-    conv = convolve(series, kernel, method=method)
-    best = _windowed_argmax(conv, window)
-    t_max = float(conv.t_ms[best] - window.start_ms)
-    rt = reaction_time(t_max, kernel)
-    return ReactionEstimate(
-        source_id=stream.source_id,
-        warning_t_ms=float(warning_t_ms),
-        t_max_ms=t_max,
-        rt_ms=rt,
-        peak_value=float(conv.values[best]),
-        kernel=kernel,
-        window=window,
-        convolution=conv,
-        velocity=series,
-        dims=dims,
-    )
+    # direct keeps a non-finite sample within the kernel's reach; fft spreads it over the series
+    conv = convolve(series, kernel, method="direct")
+    estimates = []
+    for warning_t_ms in warnings_ms:
+        at = window.at(warning_t_ms)
+        best = _windowed_argmax(conv, at)
+        t_max = float(conv.t_ms[best] - at.start_ms)
+        estimates.append(
+            ReactionEstimate(
+                source_id=stream.source_id,
+                warning_t_ms=float(warning_t_ms),
+                t_max_ms=t_max,
+                rt_ms=reaction_time(t_max, kernel),
+                peak_value=float(conv.values[best]),
+                kernel=kernel,
+                window=at,
+                convolution=conv,
+                velocity=series,
+            )
+        )
+    return estimates

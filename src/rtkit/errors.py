@@ -47,6 +47,14 @@ class FlatSignal(ToolkitError):
     """Windowed convolution is constant; no unique reaction pattern."""
 
 
+class NonFiniteSignal(ToolkitError):
+    """Windowed convolution holds NaN or infinite values; names the velocity frames."""
+
+    def __init__(self, message: str, frame_indices: list[int] | None = None):
+        super().__init__(message)
+        self.frame_indices = frame_indices or []
+
+
 class GapInWindow(ToolkitError):
     """Search window covers a frame gap."""
 

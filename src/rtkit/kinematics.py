@@ -45,12 +45,15 @@ class VelocitySeries:
         return 1000.0 / self.fps
 
 
-def velocity_series(stream: PoseStream, dims: str = "xyz") -> VelocitySeries:
+def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeries:
     """Per-frame-pair movement speed for the whole stream.
 
+    ``dims`` is "xy" or "xyz"; by default "xyz" when the stream carries z.
     Raises GapError when any timestamp delta is outside +/-50% of the
     nominal frame duration; callers may subdivide the stream and retry.
     """
+    if dims is None:
+        dims = "xyz" if stream.has_z else "xy"
     if dims not in ("xy", "xyz"):
         raise ValueError(f"dims must be 'xy' or 'xyz', got {dims!r}")
     if stream.n_frames < 2:

@@ -193,7 +193,16 @@ def _read_csv(path: Path):
     z = table["z"] if "z" in names else np.zeros(len(table))
     vis = table["visibility"] if "visibility" in names else np.ones(len(table))
     rows = np.column_stack([table["id"], table["x"], table["y"], z, vis])
-    ts = table["timestamp_ms"][starts] if "timestamp_ms" in names else None
+    ts = None
+    if "timestamp_ms" in names:
+        row_ts = table["timestamp_ms"]
+        ts = row_ts[starts]
+        first = np.repeat(ts, np.diff(starts, append=len(table)))
+        _reject(
+            (row_ts != first) & ~(np.isnan(row_ts) & np.isnan(first)),
+            lambda r: f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {kept[r] + 1}"
+            f" differs from the frame's first row ({float(first[r])!r})",
+        )
     return frame[starts], ts, starts, near_line, rows, "z" in names
 
 
@@ -210,13 +219,13 @@ def _read_jsonl(path: Path):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc.msg}", line=line_no) from exc
             try:
-                frame_no.append(int(obj["frame"]))
+                frame_no.append(float(obj["frame"]))
                 ts.append(float(obj["timestamp_ms"]) if "timestamp_ms" in obj else None)
                 landmarks = obj["landmarks"]
                 has_z = has_z and all("z" in lm for lm in landmarks)
                 starts.append(len(rows))
                 rows.extend(
-                    (int(lm["id"]), float(lm["x"]), float(lm["y"]), float(lm.get("z", 0.0)), float(lm.get("v", 1.0)))
+                    (float(lm["id"]), float(lm["x"]), float(lm["y"]), float(lm.get("z", 0.0)), float(lm.get("v", 1.0)))
                     for lm in landmarks
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -225,7 +234,20 @@ def _read_jsonl(path: Path):
     if not frame_no:
         raise EmptyStream(f"{path}: no frames")
     ts = None if None in ts else np.array(ts)
-    return np.array(frame_no), ts, np.array(starts), frame_lines, np.array(rows, dtype=float).reshape(-1, 5), has_z
+    starts, rows = np.array(starts), np.array(rows, dtype=float).reshape(-1, 5)
+    # JSON numbers were read as floats: a frame or id with a fraction is rejected, not truncated
+    frame_no = _integers(np.array(frame_no), "frame", lambda k: frame_lines[k])
+    _integers(rows[:, 0], "landmark id", lambda r: frame_lines[np.searchsorted(starts, r, "right") - 1])
+    return frame_no, ts, starts, frame_lines, rows, has_z
+
+
+def _integers(values: np.ndarray, what: str, line) -> np.ndarray:
+    """``values`` as int64; ParseError at ``line(k)`` for the first k that is not a whole number."""
+    hits = np.flatnonzero(~(np.isfinite(values) & (values == np.floor(values))))
+    if hits.size:
+        k = int(hits[0])
+        raise ParseError(f"{what} {float(values[k])!r} is not an integer", line=line(k))
+    return values.astype(np.int64)
 
 
 def write_pose_stream(stream: PoseStream, path: str | Path, format: str | None = None) -> None:

@@ -74,7 +74,7 @@ def run_detection_trial(
         source_id=f"trial-{seed}",
     )
     try:
-        est = detect(stream, warning_t_ms, baseline, window_stats)
+        (est,) = detect(stream, [warning_t_ms], baseline, window_stats)
     except ToolkitError:
         return TrialResult(seed, snr, onset, baseline, burst_sigma, None, None)
     return TrialResult(seed, snr, onset, baseline, burst_sigma, est.rt_ms, est.rt_ms - onset)

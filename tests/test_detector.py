@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_series
+from conftest import make_series, make_stream
 from rtkit.detector import (
     ConvolutionSeries,
     build_kernel,
@@ -21,7 +21,9 @@ from rtkit.errors import (
     KernelTooShort,
     LengthError,
     NegativeOnset,
+    NonFiniteSignal,
 )
+from rtkit.kinematics import velocity_series
 from rtkit.synth import BurstSpec, NoiseSpec, gen_pose_stream, velocity_noise_std
 
 FRAME_MS = 1000.0 / 30.0
@@ -179,7 +181,7 @@ def window_at(start_ms, length_ms=1000.0, frame_ms=FRAME_MS):
 def conv_from(values, frame_ms=FRAME_MS, t0=None):
     values = np.asarray(values, dtype=float)
     t = np.arange(1, len(values) + 1) * frame_ms if t0 is None else t0
-    return ConvolutionSeries(t_ms=t, values=values, frame_ms=frame_ms, kernel_len=13, method="direct")
+    return ConvolutionSeries(t_ms=t, values=values, frame_ms=frame_ms, frame_index=np.arange(1, len(values) + 1))
 
 
 def test_locate_peak_single_maximum():
@@ -232,12 +234,16 @@ def test_reaction_time_formula():
 # --- end-to-end detect ------------------------------------------------------
 
 
-def synth_detect(onset, baseline=438.0, snr=10.0, seed=0, warning=25000.0, sigma_scale=1.0):
-    sigma = (baseline / 8.0) * sigma_scale
+def synth_stream(onset, baseline=438.0, snr=10.0, seed=0, warning=25000.0):
     amp = snr * velocity_noise_std(0.004, 33, 30.0)
-    burst = BurstSpec(onset, sigma, amp, center_offset_ms=baseline / 2.0 - FRAME_MS / 2.0)
+    burst = BurstSpec(onset, baseline / 8.0, amp, center_offset_ms=baseline / 2.0 - FRAME_MS / 2.0)
     stream, _ = gen_pose_stream(60000, 30.0, [warning], burst, NoiseSpec(0.004), seed=seed)
-    return detect(stream, warning, baseline, (438.0, 154.0))
+    return stream
+
+
+def synth_detect(onset, baseline=438.0, snr=10.0, seed=0, warning=25000.0):
+    (est,) = detect(synth_stream(onset, baseline, snr, seed, warning), [warning], baseline, (438.0, 154.0))
+    return est
 
 
 def test_detect_recovers_injected_onset():
@@ -252,7 +258,7 @@ def test_detect_recovers_injected_onset():
 def test_detect_static_subject_flat():
     stream, _ = gen_pose_stream(10000, 30.0, [], [], NoiseSpec(0.0), seed=1)
     with pytest.raises(FlatSignal):
-        detect(stream, 3000.0, 438.0, (438.0, 154.0))
+        detect(stream, [3000.0], 438.0, (438.0, 154.0))
 
 
 def test_detect_two_warnings_like_session():
@@ -263,15 +269,50 @@ def test_detect_two_warnings_like_session():
         60000, 30.0, [25000.0, 45000.0], burst, NoiseSpec(0.004), seed=9
     )
     assert len(truths) == 2
-    ests = [detect(stream, w, 438.0, (438.0, 154.0)) for w in (25000.0, 45000.0)]
+    ests = detect(stream, [25000.0, 45000.0], 438.0, (438.0, 154.0))
+    assert [est.warning_t_ms for est in ests] == [25000.0, 45000.0]
     for est in ests:
         assert abs(est.rt_ms - 350.0) <= FRAME_MS + 1e-9
+    # one pass per stream: both estimates hold the same pipeline objects
+    assert ests[0].convolution is ests[1].convolution
+    assert ests[0].velocity is ests[1].velocity and ests[0].kernel is ests[1].kernel
 
 
 def test_detect_window_too_small_for_kernel():
     stream, _ = gen_pose_stream(10000, 30.0, [], [], NoiseSpec(0.004), seed=2)
     with pytest.raises(LengthError):
-        detect(stream, 3000.0, 2000.0, (100.0, 50.0))  # 2 s kernel vs 0.5 s window
+        detect(stream, [3000.0], 2000.0, (100.0, 50.0))  # 2 s kernel vs 0.5 s window
+
+
+def test_dims_default_follows_has_z():
+    coords = np.random.default_rng(3).normal(size=(4, 33, 3))
+    coords[:, :, 2] = 0.0
+    flat = make_stream(coords)
+    flat.has_z = False
+    assert velocity_series(flat).dims == "xy"
+    assert velocity_series(make_stream(coords)).dims == "xyz"
+    stream = synth_stream(400.0, seed=5)
+    stream.has_z = False
+    assert [est.dims for est in detect(stream, [25000.0], 438.0, (438.0, 154.0))] == ["xy"]
+
+
+def test_nan_outside_window_leaves_estimate_unchanged():
+    clean = synth_detect(400.0, seed=5)
+    stream = synth_stream(400.0, seed=5)
+    stream.coords[100, 0, 0] = np.nan  # 21 s before the warning
+    (est,) = detect(stream, [25000.0], 438.0, (438.0, 154.0))
+    assert est.rt_ms == clean.rt_ms
+    assert est.peak_value == clean.peak_value
+
+
+def test_nan_inside_window_raises_non_finite():
+    stream = synth_stream(400.0, seed=5)
+    stream.coords[780, 0, 0] = np.nan  # 1 s after the warning, inside the window
+    with pytest.raises(NonFiniteSignal) as info:
+        detect(stream, [25000.0], 438.0, (438.0, 154.0))
+    frames = info.value.frame_indices
+    assert frames and 780 in frames
+    assert all(25000.0 <= f * FRAME_MS <= 26000.0 + FRAME_MS for f in frames)
 
 
 def test_detect_report_shape():

@@ -167,6 +167,48 @@ def test_parse_jsonl_bad_json_and_missing_x(tmp_path):
         parse_pose_stream(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("frame", 1.7, "frame 1.7 is not an integer"),
+        ("frame", float("nan"), "frame nan is not an integer"),
+        ("id", 4.5, "landmark id 4.5 is not an integer"),
+        ("id", float("inf"), "landmark id inf is not an integer"),
+    ],
+)
+def test_parse_jsonl_non_integral_frame_or_id(tmp_path, field, value, match):
+    path = tmp_path / "frac.jsonl"
+    frames = [jsonl_frame(i) for i in range(3)]
+    if field == "frame":
+        frames[1]["frame"] = value
+    else:
+        frames[1]["landmarks"][4]["id"] = value
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(ParseError, match=f"line 2: {match}"):
+        parse_pose_stream(path)
+
+
+def test_parse_jsonl_integral_float_frame(tmp_path):
+    path = tmp_path / "whole.jsonl"
+    frames = [jsonl_frame(i) for i in range(2)]
+    frames[1]["frame"] = 1.0
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    stream = parse_pose_stream(path)
+    assert stream.frame_index.tolist() == [0, 1]
+    assert stream.frame_index.dtype == np.int64
+
+
+def test_parse_csv_frame_rows_with_different_timestamps(tmp_path):
+    path = tmp_path / "ts_rows.csv"
+    write_csv(path, simple_frames(3))
+    lines = path.read_text().splitlines()
+    # frame 1 spans lines 35-67; stamp its rows after the first 500 ms later
+    lines[35:67] = [line.replace(",33.25,", ",533.25,", 1) for line in lines[35:67]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=r"frame 1: timestamp_ms 533\.25 on line 36"):
+        parse_pose_stream(path)
+
+
 def test_parse_jsonl_landmark_without_z(tmp_path):
     path = tmp_path / "noz.jsonl"
     frames = [jsonl_frame(0), jsonl_frame(1)]
