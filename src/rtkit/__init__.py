@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .detector import build_kernel, convolve, default_window, detect, locate_peak, reaction_time
 from .kinematics import velocity_series
 from .pose import parse_pose_stream, select_upper_body, validate_stream, write_pose_stream
-from .spectral import cwt_gaus2, fft_magnitude, peak_scale_map
+from .spectral import cwt_gaus2, fft_magnitude
 from .stats import paired_ttest, significance_grid, summarize, welch_ttest
 from .synth import gen_pose_stream, gen_srt_dataset
 from .woz import builtin_scripts, latency_budget_check, parse_event_log, randomize_session, run_scenario
@@ -33,7 +33,6 @@ __all__ = [
     "paired_ttest",
     "parse_event_log",
     "parse_pose_stream",
-    "peak_scale_map",
     "randomize_session",
     "reaction_time",
     "run_scenario",

@@ -3,8 +3,11 @@
 Subcommands: ingest, detect, spectral, scenario, srt, stats, synth.
 Flag precedence is flags > config file (JSON) > defaults, and the
 effective configuration is echoed into the output directory. Every
-randomized behavior requires an explicit seed. Output files are written
-atomically (temp file + rename) and inputs are never modified.
+randomized behavior requires an explicit seed. The files this module
+writes itself (run_config.json, the JSON reports, the summary CSVs and
+scenario logs) are written atomically (temp file + rename); the pose,
+record, spectrum, CWT and grid files come from the library writers and
+are not. Inputs are never modified.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, kinematics, pose, spectral, stats, synth, woz
-from .errors import ToolkitError
+from .errors import PairingError, ParseError, ToolkitError
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -82,10 +86,20 @@ def cmd_ingest(args) -> int:
 
 
 def _read_baselines(path) -> dict[str, float]:
+    """participant -> baseline reaction time (ms); ParseError names the line and participant of a bad row."""
     table = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            table[row["participant"]] = float(row["baseline_rt_ms"])
+        reader = csv.DictReader(fh)
+        if not {"participant", "baseline_rt_ms"} <= set(reader.fieldnames or ()):
+            raise ParseError(f"{path}: the header needs participant and baseline_rt_ms columns", line=1)
+        for row in reader:
+            p, raw = row["participant"], row["baseline_rt_ms"]
+            try:
+                table[p] = _positive_float(raw)
+            except argparse.ArgumentTypeError:
+                raise ParseError(
+                    f"{path}: participant {p!r}: baseline_rt_ms {raw!r} is not a positive number", line=reader.line_num
+                ) from None
     return table
 
 
@@ -197,6 +211,8 @@ def cmd_srt(args) -> int:
             "p99_ms": lat.p99_ms,
             "all_pass": lat.all_pass,
             "failures": lat.failures,
+            "orphan_acks": [e.seq for e in lat.orphan_acks],
+            "repeated_acks": [e.seq for e in lat.repeated_acks],
         }
     _atomic_json(out / "srt_report.json", report)
     if args.records:
@@ -229,19 +245,29 @@ def cmd_stats(args) -> int:
     stats.write_settings_grid_csv(grid, out / "grid_settings.csv")
     stats.write_modalities_grid_csv(grid, out / "grid_modalities.csv")
 
-    vision = stats.cell_records(records, stats.Setting.VISION_E, "HAV")
+    vision = _rt_by_participant(records, stats.Setting.VISION_E, "HAV")
     paired_lines = ["comparison,n,t,df,p"]
     if vision:
-        ref = stats.cell_records(records, stats.Setting.VR_WT, "HAV")
-        shared = sorted({r.participant for r in vision} & {r.participant for r in ref})
+        ref = _rt_by_participant(records, stats.Setting.VR_WT, "HAV")
+        shared = sorted(vision.keys() & ref.keys())
         if shared:
-            a = [next(r.rt_ms for r in vision if r.participant == p) for p in shared]
-            b = [next(r.rt_ms for r in ref if r.participant == p) for p in shared]
-            res = stats.paired_ttest(a, b)
+            res = stats.paired_ttest([vision[p] for p in shared], [ref[p] for p in shared])
             paired_lines.append(f"VisionE-vs-VR-WT-HAV,{len(shared)},{res.t!r},{res.df!r},{res.p!r}")
     _atomic_write(out / "paired.csv", "\n".join(paired_lines) + "\n")
     print(f"stats over {len(records)} record(s): summary, two grids, paired report")
     return 0
+
+
+def _rt_by_participant(records, setting: stats.Setting, modality: str) -> dict[str, float]:
+    """participant -> rt_ms in one cell; PairingError when a participant has two records there."""
+    out: dict[str, float] = {}
+    for r in stats.cell_records(records, setting, modality):
+        if r.participant in out:
+            raise PairingError(
+                f"participant {r.participant!r} has more than one record in cell {setting.value}/{modality}"
+            )
+        out[r.participant] = r.rt_ms
+    return out
 
 
 def cmd_synth_pose(args) -> int:
@@ -294,9 +320,34 @@ def cmd_synth_srt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _warning_times(text: str) -> str:
+    """argparse type: comma-separated finite times in ms, returned as written (run_config.json echoes the text)."""
+    try:
+        if all(math.isfinite(float(w)) for w in text.split(",")):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated times in ms, got {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    try:
+        value = float(text)
+        if math.isfinite(value) and value > 0:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    config_help = "JSON file of option defaults; flags override them"
     p = argparse.ArgumentParser(prog="rtkit", description=__doc__.splitlines()[0])
-    p.add_argument("--config", help="JSON file with default option values")
+    p.add_argument("--config", help=config_help)
+    # also accepted after the subcommand; SUPPRESS keeps a subparser from resetting it
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -304,25 +355,25 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True)
         sp.add_argument("--fps", type=float, default=30.0)
 
-    sp = sub.add_parser("ingest", help="parse and validate a pose file")
+    sp = sub.add_parser("ingest", parents=[config], help="parse and validate a pose file")
     common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
     sp.add_argument("--canonical", action="store_true", help="also write a canonical JSONL copy")
     sp.set_defaults(func=cmd_ingest)
 
-    sp = sub.add_parser("detect", help="vision-based reaction times for pose streams")
+    sp = sub.add_parser("detect", parents=[config], help="vision-based reaction times for pose streams")
     common(sp)
     sp.add_argument("--input", required=True, help="pose file or directory of pose files")
     sp.add_argument("--baselines", required=True, help="CSV: participant,baseline_rt_ms")
-    sp.add_argument("--warnings", required=True, help="comma-separated warning times (ms)")
+    sp.add_argument("--warnings", type=_warning_times, required=True, help="comma-separated warning times (ms)")
     sp.add_argument("--dims", choices=["auto", "xy", "xyz"], default="auto")
-    sp.add_argument("--window-mean", type=float, default=438.0)
-    sp.add_argument("--window-sd", type=float, default=154.0)
+    sp.add_argument("--window-mean", type=_positive_float, default=438.0)
+    sp.add_argument("--window-sd", type=_positive_float, default=154.0)
     sp.add_argument("--emit-trace", action="store_true")
     sp.set_defaults(func=cmd_detect)
 
-    sp = sub.add_parser("spectral", help="FFT magnitude spectrum and CWT of the velocity series")
+    sp = sub.add_parser("spectral", parents=[config], help="FFT magnitude spectrum and CWT of the velocity series")
     common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--dims", choices=["auto", "xy", "xyz"], default="auto")
@@ -330,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scales", default=None, help="lo:hi:count (frames, log-spaced)")
     sp.set_defaults(func=cmd_spectral)
 
-    sp = sub.add_parser("scenario", help="run a warning schedule and write the event log")
+    sp = sub.add_parser("scenario", parents=[config], help="run a warning schedule and write the event log")
     sp.add_argument("--script", required=True, help="builtin name (V, HV, AV, HAV, ExpE) or JSON path")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--clock", choices=["sim", "wall"], default="sim")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_scenario)
 
-    sp = sub.add_parser("srt", help="parse an event log into SRT measurements")
+    sp = sub.add_parser("srt", parents=[config], help="parse an event log into SRT measurements")
     common(sp)
     sp.add_argument("--log", required=True)
     sp.add_argument("--max-rt", type=int, default=woz.DEFAULT_MISS_MS)
@@ -347,18 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--setting", default="Baseline")
     sp.set_defaults(func=cmd_srt)
 
-    sp = sub.add_parser("stats", help="summary, significance grids, paired report")
+    sp = sub.add_parser("stats", parents=[config], help="summary, significance grids, paired report")
     common(sp)
     sp.add_argument("--records", required=True)
     sp.set_defaults(func=cmd_stats)
 
-    sp = sub.add_parser("synth", help="generate synthetic data")
+    sp = sub.add_parser("synth", parents=[config], help="generate synthetic data")
     synth_sub = sp.add_subparsers(dest="kind", required=True)
 
-    sq = synth_sub.add_parser("pose", help="pose stream with injected reactions")
+    sq = synth_sub.add_parser("pose", parents=[config], help="pose stream with injected reactions")
     common(sq)
     sq.add_argument("--duration", type=float, default=60000.0)
-    sq.add_argument("--warnings", default="25000,45000")
+    sq.add_argument("--warnings", type=_warning_times, default="25000,45000")
     sq.add_argument("--onset", type=float, default=400.0)
     sq.add_argument("--burst-sigma", type=float, default=54.75)
     sq.add_argument("--amplitude", type=float, default=3.0)
@@ -367,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     sq.set_defaults(func=cmd_synth_pose)
 
-    sq = synth_sub.add_parser("srt", help="reaction-time records from cell parameters")
+    sq = synth_sub.add_parser("srt", parents=[config], help="reaction-time records from cell parameters")
     common(sq)
     sq.add_argument("--cells", default=None, help="JSON cell parameters; defaults to the reference cells")
     sq.add_argument("--rho", type=float, default=0.5)
@@ -376,36 +427,62 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    # flags > config file > defaults: inject config values as leading flags
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        parser.error("argument --config: expected one argument")
-    cfg_path = argv[i + 1]
-    with open(cfg_path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    injected: list[str] = []
+def _subcommand(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.ArgumentParser | None:
+    """The parser of the innermost subcommand that ``tokens`` name (``detect``, ``synth srt``, ...), or None."""
+    names = (t for t in tokens if not t.startswith("-"))
+    while subs := next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None):
+        parser = subs.choices.get(next(names, None))
+        if parser is None:
+            return None
+    return parser
+
+
+def _config_value(parser: argparse.ArgumentParser, key: str, action: argparse.Action, value):
+    """``value`` checked as its flag's would be: a JSON boolean for a switch, else through type and choices."""
+    if action.nargs == 0 and isinstance(value, bool):
+        return value
+    if action.nargs != 0 and isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            converted = (action.type or str)(str(value))
+            if action.choices is None or converted in action.choices:
+                return converted
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            pass
+    parser.error(f"config key {key!r}: {json.dumps(value)} is not a valid {action.option_strings[0]} value")
+
+
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Make the --config file's values defaults of the chosen subcommand, so its flags still win.
+
+    A key that is not one of its options is a usage error; a required option may come from the file.
+    """
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    sub = _subcommand(parser, rest)
+    if known.config is None or sub is None:
+        return  # the real parse reports a missing or unknown subcommand
+    try:
+        with open(known.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"argument --config: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"argument --config: {known.config} does not hold a JSON object")
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        flag = f"--{key.replace('_', '-')}"
-        if flag in argv:
-            continue
-        if isinstance(value, bool):
-            if value:
-                injected.append(flag)
-        else:
-            injected.extend([flag, str(value)])
-    # insert after the subcommand tokens so argparse scopes them correctly
-    rest = [a for j, a in enumerate(argv) if j not in (i, i + 1)]
-    return rest + injected
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            sub.error(f"config key {key!r} is not an option of {sub.prog!r}")
+        sub.set_defaults(**{action.dest: _config_value(sub, key, action, value)})
+        action.required = False
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except ToolkitError as exc:

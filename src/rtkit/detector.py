@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteSignal,
 )
 from .kinematics import VelocitySeries, velocity_series
-from .pose import PoseStream, select_upper_body
+from .pose import PoseStream, off_nominal, select_upper_body
 
 SIGMA_DIVISOR = 8.0  # kernel width is one eighth of its duration
 
@@ -58,12 +58,6 @@ class GaussianKernel:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def evaluate(self, t_ms) -> np.ndarray | float:
-        """Continuous kernel value at time t (ms from pattern start)."""
-        t = np.asarray(t_ms, dtype=float)
-        out = self.amplitude * np.exp(-((t - self.mu_ms) ** 2) / (2.0 * self.sigma_ms**2))
-        return float(out) if out.ndim == 0 else out
 
 
 def build_kernel(baseline_rt_ms: float, frame_ms: float) -> GaussianKernel:
@@ -176,8 +170,7 @@ def _windowed_argmax(conv: ConvolutionSeries, window: SearchWindow) -> int:
         )
     mask = (t >= lo) & (t <= hi)
     idx = np.nonzero(mask)[0]
-    deltas = np.diff(t[idx])
-    if np.any(np.abs(deltas - conv.frame_ms) > 0.5 * conv.frame_ms):
+    if off_nominal(np.diff(t[idx]), conv.frame_ms).any():
         raise GapInWindow(f"sampling gap inside window [{lo}, {hi}] ms")
     vals = conv.values[idx]
     bad = idx[~np.isfinite(vals)]

@@ -8,14 +8,12 @@ the frame duration. Units are input-units per second (per-frame values are
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import GapError
-from .pose import GAP_TOLERANCE, PoseStream
+from .pose import PoseStream, off_nominal
 
 
 @dataclass
@@ -50,7 +48,8 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
 
     ``dims`` is "xy" or "xyz"; by default "xyz" when the stream carries z.
     Raises GapError when any timestamp delta is outside +/-50% of the
-    nominal frame duration; callers may subdivide the stream and retry.
+    nominal frame duration or is NaN; callers may subdivide the stream and
+    retry.
     """
     if dims is None:
         dims = "xyz" if stream.has_z else "xy"
@@ -59,8 +58,7 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
     if stream.n_frames < 2:
         raise ValueError("need at least 2 frames")
     deltas = np.diff(stream.timestamps_ms)
-    nominal = stream.frame_ms
-    bad = np.nonzero(np.abs(deltas - nominal) > GAP_TOLERANCE * nominal)[0]
+    bad = np.flatnonzero(off_nominal(deltas, stream.frame_ms))
     if bad.size:
         frames = [int(stream.frame_index[i + 1]) for i in bad]
         raise GapError(
@@ -80,10 +78,3 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
         dims=dims,
     )
 
-
-def write_velocity_csv(series: VelocitySeries, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame", "t_ms", "v"])
-        for i in range(len(series)):
-            w.writerow([int(series.frame_index[i]), repr(float(series.t_ms[i])), repr(float(series.v[i]))])

@@ -24,6 +24,11 @@ UPPER_BODY_IDS = tuple(range(25))
 GAP_TOLERANCE = 0.5
 
 
+def off_nominal(deltas_ms: np.ndarray, nominal_ms: float) -> np.ndarray:
+    """True where a frame-to-frame delta is more than GAP_TOLERANCE off nominal, or not a number."""
+    return ~(np.abs(deltas_ms - nominal_ms) <= GAP_TOLERANCE * nominal_ms)
+
+
 @dataclass
 class PoseStream:
     """Ordered pose frames for one participant/session.
@@ -100,8 +105,9 @@ def parse_pose_stream(
     ``format`` is "csv" or "jsonl"; inferred from the suffix when omitted.
     Each frame must hold exactly 33 distinct landmark ids, in any order
     (they are sorted by id), and every frame the same id set; frame numbers
-    and timestamps must increase strictly. Raises ParseError (bad row, with
-    line number), SchemaError (landmark count / ids / order), EmptyStream.
+    and timestamps must be finite and increase strictly. Raises ParseError
+    (bad row, with line number), SchemaError (landmark count / ids / order /
+    timestamps), EmptyStream.
     Missing timestamps are synthesized from ``nominal_fps`` and flagged on
     the stream.
     """
@@ -115,12 +121,12 @@ def parse_pose_stream(
     sid = source_id if source_id is not None else path.stem
 
     read = _read_csv if format == "csv" else _read_jsonl
-    frame_no, ts, starts, near_line, rows, has_z = read(path)
+    frame_no, ts, starts, frame_line, rows, has_z = read(path)
     n, L = len(frame_no), len(FULL_BODY_IDS)
     counts = np.diff(starts, append=len(rows))
     _reject(
         counts != L,
-        lambda k: f"frame {frame_no[k]}: expected {L} landmarks, got {counts[k]} (near line {near_line[k]})",
+        lambda k: f"frame {frame_no[k]}: expected {L} landmarks, got {counts[k]} (frame starts on line {frame_line[k]})",
     )
     rows = rows.reshape(n, L, 5)
     rows = np.take_along_axis(rows, np.argsort(rows[:, :, 0], axis=1)[:, :, None], axis=1)
@@ -128,6 +134,10 @@ def parse_pose_stream(
     _reject((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids")
     _reject(np.diff(frame_no) <= 0, lambda k: f"frame index not strictly increasing at frame {frame_no[k + 1]}")
     if ts is not None:
+        _reject(
+            ~np.isfinite(ts),
+            lambda k: f"frame {frame_no[k]}: timestamp_ms {float(ts[k])!r} on line {frame_line[k]} is not finite",
+        )
         _reject(np.diff(ts) <= 0, lambda k: f"timestamps not strictly increasing at frame {frame_no[k + 1]}")
     _reject((ids != ids[0]).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame")
 
@@ -152,8 +162,7 @@ def _reject(bad: np.ndarray, message) -> None:
 
 
 # Both readers return: frame numbers, timestamps (None when absent), first
-# row of each frame, line to name in a landmark-count error, rows of
-# id/x/y/z/visibility, has_z.
+# row and first line of each frame, rows of id/x/y/z/visibility, has_z.
 
 
 def _read_csv(path: Path):
@@ -188,8 +197,7 @@ def _read_csv(path: Path):
 
     frame = table["frame"]
     starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
-    # a frame's rows end where the next frame starts, or at the last line
-    near_line = np.append(np.asarray(kept)[starts[1:]] + 1, len(lines))
+    frame_line = np.asarray(kept)[starts] + 1
     z = table["z"] if "z" in names else np.zeros(len(table))
     vis = table["visibility"] if "visibility" in names else np.ones(len(table))
     rows = np.column_stack([table["id"], table["x"], table["y"], z, vis])
@@ -203,7 +211,7 @@ def _read_csv(path: Path):
             lambda r: f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {kept[r] + 1}"
             f" differs from the frame's first row ({float(first[r])!r})",
         )
-    return frame[starts], ts, starts, near_line, rows, "z" in names
+    return frame[starts], ts, starts, frame_line, rows, "z" in names
 
 
 def _read_jsonl(path: Path):
@@ -340,49 +348,31 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def of_kind(self, kind: str) -> list[Finding]:
-        return [f for f in self.findings if f.kind == kind]
-
 
 def validate_stream(stream: PoseStream) -> ValidationReport:
     """Report frame gaps, timestamp anomalies and out-of-range values.
 
     The stream is never modified; gaps are reported, not interpolated.
     """
-    report = ValidationReport(stream.source_id)
     nominal = stream.frame_ms
     deltas = np.diff(stream.timestamps_ms)
-    for i in np.nonzero(np.abs(deltas - nominal) > GAP_TOLERANCE * nominal)[0]:
-        kind = "gap" if deltas[i] > nominal else "timestamp"
-        report.findings.append(
-            Finding(
-                kind,
-                int(stream.frame_index[i + 1]),
-                f"delta {deltas[i]:.3f} ms vs nominal {nominal:.3f} ms before frame {int(stream.frame_index[i + 1])}",
-            )
+    frame, ids, vis = stream.frame_index, stream.landmark_ids, stream.visibility
+    findings = [
+        Finding(
+            "gap" if deltas[i] > nominal else "timestamp",
+            int(frame[i + 1]),
+            f"delta {deltas[i]:.3f} ms vs nominal {nominal:.3f} ms before frame {int(frame[i + 1])}",
         )
-    bad_vis = np.argwhere((stream.visibility < 0.0) | (stream.visibility > 1.0))
-    for i, j in bad_vis:
-        report.findings.append(
-            Finding(
-                "range",
-                int(stream.frame_index[i]),
-                f"visibility {stream.visibility[i, j]!r} outside [0, 1]",
-                landmark_id=int(stream.landmark_ids[j]),
-            )
-        )
-    bad_coord = np.argwhere(~np.isfinite(stream.coords).all(axis=2))
-    for i, j in bad_coord:
-        report.findings.append(
-            Finding(
-                "range",
-                int(stream.frame_index[i]),
-                "non-finite coordinate",
-                landmark_id=int(stream.landmark_ids[j]),
-            )
-        )
+        for i in np.flatnonzero(off_nominal(deltas, nominal))
+    ]
+    findings += [
+        Finding("range", int(frame[i]), f"visibility {vis[i, j]!r} outside [0, 1]", landmark_id=int(ids[j]))
+        for i, j in np.argwhere((vis < 0.0) | (vis > 1.0))
+    ]
+    findings += [
+        Finding("range", int(frame[i]), "non-finite coordinate", landmark_id=int(ids[j]))
+        for i, j in np.argwhere(~np.isfinite(stream.coords).all(axis=2))
+    ]
     if stream.timestamps_synthesized:
-        report.findings.append(
-            Finding("synthesized_timestamps", int(stream.frame_index[0]), "timestamps synthesized from nominal fps")
-        )
-    return report
+        findings.append(Finding("synthesized_timestamps", int(frame[0]), "timestamps synthesized from nominal fps"))
+    return ValidationReport(stream.source_id, findings)

@@ -54,11 +54,6 @@ class MagnitudeSpectrum:
     fps: float
     n: int
 
-    def dominant_hz(self, skip_dc: bool = True) -> float:
-        mags = self.magnitude[1:] if skip_dc else self.magnitude
-        off = 1 if skip_dc else 0
-        return float(self.freq_hz[off + int(np.argmax(mags))])
-
     def total_energy(self) -> float:
         """(1/n) sum |X_k|^2 over the full two-sided transform."""
         m2 = self.magnitude**2
@@ -145,18 +140,6 @@ def default_scales(window_frames: int = 30, count: int = 32, min_scale: float = 
     if window_frames <= min_scale:
         raise BadScales(f"window of {window_frames} frames leaves no scale range")
     return np.geomspace(min_scale, float(window_frames), count)
-
-
-def peak_scale_map(cwt: CwtResult) -> np.ndarray:
-    """Dominant scale per translation: argmax over scales of |W(a, b)|.
-
-    Translations whose coefficient column is entirely zero have no defined
-    dominant scale and are returned as NaN.
-    """
-    mags = np.abs(cwt.coefficients)
-    out = cwt.scales[np.argmax(mags, axis=0)].astype(float)
-    out[mags.max(axis=0) == 0.0] = np.nan
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class TTestResult:
     df: float
     p: float
     paired: bool
-    variant: str  # welch | student_paired | student_pooled
+    variant: str  # welch | student_paired
 
 
 def two_sided_p(t: float, df: float) -> float:
@@ -87,12 +87,11 @@ def summarize(values: Iterable[float]) -> SampleSummary:
     return SampleSummary(n=int(arr.size), mean_ms=float(arr.mean()), sd_ms=sd)
 
 
-def welch_ttest(a: Sequence[float], b: Sequence[float], equal_var: bool = False) -> TTestResult:
-    """Two-sided unpaired t-test; Welch by default.
+def welch_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
+    """Two-sided Welch (unequal-variance) unpaired t-test.
 
-    ``equal_var=True`` switches to the pooled Student variant (sensitivity
-    check only). Raises DegenerateSample when both samples have zero
-    variance and equal means.
+    Raises DegenerateSample when both samples have zero variance and equal
+    means.
     """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
@@ -104,23 +103,15 @@ def welch_ttest(a: Sequence[float], b: Sequence[float], equal_var: bool = False)
     x, y = x - x[0], y - x[0]
     m1, m2 = x.mean(), y.mean()
     v1, v2 = x.var(ddof=1), y.var(ddof=1)
-    if equal_var:
-        df = float(n1 + n2 - 2)
-        sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / df
-        se2 = sp2 * (1.0 / n1 + 1.0 / n2)
-        variant = "student_pooled"
-    else:
-        se2 = v1 / n1 + v2 / n2
-        variant = "welch"
+    se2 = v1 / n1 + v2 / n2
     if se2 == 0.0:
         if m1 == m2:
             raise DegenerateSample("zero variance in both samples with equal means")
         t = math.copysign(math.inf, m1 - m2)
-        return TTestResult(t=t, df=float(n1 + n2 - 2), p=0.0, paired=False, variant=variant)
-    if not equal_var:
-        df = se2**2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
+        return TTestResult(t=t, df=float(n1 + n2 - 2), p=0.0, paired=False, variant="welch")
+    df = se2**2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
     t = float((m1 - m2) / math.sqrt(se2))
-    return TTestResult(t=t, df=float(df), p=two_sided_p(t, df), paired=False, variant=variant)
+    return TTestResult(t=t, df=float(df), p=two_sided_p(t, df), paired=False, variant="welch")
 
 
 def paired_ttest(
@@ -175,10 +166,6 @@ def _align_pairs(x, y, pa, pb):
 # ---------------------------------------------------------------------------
 
 
-def cell_values(records: Iterable[ReactionRecord], setting: Setting, modality: str) -> list[float]:
-    return [r.rt_ms for r in records if r.setting is setting and r.modality == modality]
-
-
 def cell_records(records: Iterable[ReactionRecord], setting: Setting, modality: str) -> list[ReactionRecord]:
     return [r for r in records if r.setting is setting and r.modality == modality]
 
@@ -202,14 +189,8 @@ def significance_grid(
     Raises MissingCell (listing the absent combinations) when any required
     cell has fewer than two records.
     """
-    cells: dict[tuple[Setting, str], list[float]] = {}
-    missing = []
-    for s in settings:
-        for m in modalities:
-            vals = cell_values(records, s, m)
-            if len(vals) < 2:
-                missing.append((s.value, m))
-            cells[(s, m)] = vals
+    cells = {(s, m): [r.rt_ms for r in cell_records(records, s, m)] for s in settings for m in modalities}
+    missing = [(s.value, m) for (s, m), vals in cells.items() if len(vals) < 2]
     if missing:
         raise MissingCell(f"missing cells: {missing}", cells=missing)
 
@@ -231,13 +212,8 @@ def summary_table(
     settings: Sequence[Setting] = SRT_SETTINGS,
     modalities: Sequence[str] = ALL_MODALITIES,
 ) -> dict[tuple[str, Setting], SampleSummary]:
-    out = {}
-    for m in modalities:
-        for s in settings:
-            vals = cell_values(records, s, m)
-            if vals:
-                out[(m, s)] = summarize(vals)
-    return out
+    cells = {(m, s): [r.rt_ms for r in cell_records(records, s, m)] for m in modalities for s in settings}
+    return {key: summarize(vals) for key, vals in cells.items() if vals}
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +270,9 @@ def write_summary_csv(summaries: dict[tuple[str, Setting], SampleSummary], path:
 def write_settings_grid_csv(grid: SignificanceGrid, path: str | Path) -> None:
     """Lower-triangle p-value grid of setting pairs, one block per modality."""
     present = {s for (_, s1, s2) in grid.settings_grid for s in (s1, s2)}
+    mods = [m for m in ALL_MODALITIES if any(k[0] == m for k in grid.settings_grid)]
     settings = [s for s in SRT_SETTINGS if s in present]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["modality", "setting"] + [s.value for s in settings[:-1]])
-        mods = [m for m in ALL_MODALITIES if any(k[0] == m for k in grid.settings_grid)]
-        for m in mods:
-            for ri, row_s in enumerate(settings[1:], start=1):
-                cells = []
-                for ci, col_s in enumerate(settings[:-1]):
-                    if ci >= ri:
-                        cells.append("")
-                        continue
-                    res = grid.settings_grid.get((m, col_s, row_s)) or grid.settings_grid.get(
-                        (m, row_s, col_s)
-                    )
-                    cells.append("" if res is None else f"{res.p:.3f}")
-                w.writerow([m, row_s.value] + cells)
+    _write_lower_triangle(path, ["modality", "setting"], mods, settings, grid.settings_grid)
 
 
 def write_modalities_grid_csv(grid: SignificanceGrid, path: str | Path) -> None:
@@ -318,18 +280,26 @@ def write_modalities_grid_csv(grid: SignificanceGrid, path: str | Path) -> None:
     mods = [m for m in ALL_MODALITIES if any(m in (m1, m2) for (_, m1, m2) in grid.modalities_grid)]
     present = {s for (s, _, _) in grid.modalities_grid}
     settings = [s for s in Setting if s in present]
+    _write_lower_triangle(path, ["setting", "modality"], settings, mods, grid.modalities_grid)
+
+
+def _write_lower_triangle(path, head: list[str], blocks, items, results: dict) -> None:
+    """One block per entry of ``blocks``: row item i against column items 0..i-1.
+
+    ``results`` is keyed (block, item, item) in either item order; a
+    missing pair is an empty cell.
+    """
+
+    def label(x) -> str:
+        return x.value if isinstance(x, Setting) else x
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["setting", "modality"] + mods[:-1])
-        for s in settings:
-            for ri, row_m in enumerate(mods[1:], start=1):
+        w.writerow(head + [label(x) for x in items[:-1]])
+        for b in blocks:
+            for ri, row in enumerate(items[1:], start=1):
                 cells = []
-                for ci, col_m in enumerate(mods[:-1]):
-                    if ci >= ri:
-                        cells.append("")
-                        continue
-                    res = grid.modalities_grid.get((s, col_m, row_m)) or grid.modalities_grid.get(
-                        (s, row_m, col_m)
-                    )
+                for col in items[:ri]:
+                    res = results.get((b, col, row)) or results.get((b, row, col))
                     cells.append("" if res is None else f"{res.p:.3f}")
-                w.writerow([s.value, row_m] + cells)
+                w.writerow([label(b), label(row)] + cells + [""] * (len(items) - 1 - ri))

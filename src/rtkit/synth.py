@@ -65,11 +65,9 @@ class BurstSpec:
 class NoiseSpec:
     """Baseline micro-motion of every landmark: a random walk with per-frame
     step sigma in input units (postural sway), giving a white velocity-noise
-    floor. Optional private seed decouples the noise draw from the burst
-    geometry draw."""
+    floor."""
 
     sigma: float
-    seed: int | None = None
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -188,7 +186,6 @@ def gen_pose_stream(
     per_warning = _normalize_bursts(warning_times, bursts)
 
     rng = np.random.default_rng(seed)
-    noise_rng = np.random.default_rng(noise.seed) if noise.seed is not None else rng
 
     t_ms = np.arange(n) * frame_ms
     coords = np.tile(_base_pose(), (n, 1, 1))
@@ -233,7 +230,7 @@ def gen_pose_stream(
             )
 
     if noise.sigma > 0:
-        steps = noise_rng.normal(0.0, noise.sigma, size=(n - 1, coords.shape[1], d))
+        steps = rng.normal(0.0, noise.sigma, size=(n - 1, coords.shape[1], d))
         coords[:, :, :d] += np.concatenate(
             [np.zeros((1, coords.shape[1], d)), np.cumsum(steps, axis=0)], axis=0
         )

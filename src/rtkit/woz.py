@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from .errors import ParseError, TransportError
 
 LOG_HEADER = "# woz-log v1"
@@ -111,11 +109,6 @@ class SimClock:
         if t_ms > self._now:
             self._now = float(t_ms)
 
-    def advance(self, delta_ms: float) -> None:
-        if delta_ms < 0:
-            raise ValueError("cannot move a monotonic clock backwards")
-        self._now += delta_ms
-
 
 class WallClock:
     """Monotonic wall clock, origin at construction."""
@@ -143,19 +136,6 @@ class ListTransport:
         self.lines: list[str] = []
 
     def send(self, line: str) -> None:
-        self.lines.append(line)
-
-
-class FailingTransport:
-    """Raises after ``fail_after`` successful sends (test double)."""
-
-    def __init__(self, fail_after: int):
-        self.fail_after = fail_after
-        self.lines: list[str] = []
-
-    def send(self, line: str) -> None:
-        if len(self.lines) >= self.fail_after:
-            raise OSError("transport down")
         self.lines.append(line)
 
 
@@ -339,6 +319,8 @@ class LatencyReport:
     latencies_ms: dict[int, int]  # seq -> ack latency
     failures: list[int]  # seqs over budget
     p99_ms: float
+    orphan_acks: list[AckEvent]  # acks for a seq no trigger has
+    repeated_acks: list[AckEvent]  # acks after the first for a seq
 
     @property
     def all_pass(self) -> bool:
@@ -350,19 +332,33 @@ def latency_budget_check(
     acks: Sequence[AckEvent],
     budget_ms: float = 10.0,
 ) -> LatencyReport:
-    """Per-event transport latency (ack minus dispatch) against a budget."""
-    by_seq = {t.seq: t for t in triggers}
+    """Per-event transport latency (first ack minus dispatch) against a budget.
+
+    ``p99_ms`` is the 99th percentile interpolated as ``np.percentile``
+    does by default (Hyndman & Fan 1996 type 7), bit for bit.
+    """
+    sent = {t.seq: t.dispatched_ms for t in triggers}
     latencies: dict[int, int] = {}
+    orphans, repeated = [], []
     for ack in acks:
-        trig = by_seq.get(ack.seq)
-        if trig is None:
-            continue
-        latencies[ack.seq] = ack.recv_ms - trig.dispatched_ms
-    failures = sorted(seq for seq, lat in latencies.items() if lat >= budget_ms)
-    p99 = float(np.percentile(list(latencies.values()), 99.0)) if latencies else 0.0
-    return LatencyReport(
-        budget_ms=budget_ms, latencies_ms=latencies, failures=failures, p99_ms=p99
-    )
+        if ack.seq not in sent:
+            orphans.append(ack)
+        elif ack.seq in latencies:
+            repeated.append(ack)
+        else:
+            latencies[ack.seq] = ack.recv_ms - sent[ack.seq]
+    failures = sorted([seq for seq, lat in latencies.items() if lat >= budget_ms])
+    p99 = _p99(sorted(latencies.values())) if latencies else 0.0
+    return LatencyReport(budget_ms, latencies, failures, p99, orphans, repeated)
+
+
+def _p99(v: list) -> float:
+    # numpy's lerp, which interpolates from the nearer of the two order statistics
+    h = (len(v) - 1) * 0.99
+    j = int(h)
+    g = h - j
+    a, b = v[j], v[min(j + 1, len(v) - 1)]
+    return float(a + (b - a) * g) if g < 0.5 else float(b - (b - a) * (1 - g))
 
 
 def simulate_acks(

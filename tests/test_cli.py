@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -207,3 +208,111 @@ def test_outputs_do_not_mutate_inputs(tmp_path):
     before = (srt_dir / "records.csv").read_bytes()
     run_cli("stats", "--records", srt_dir / "records.csv", "--out", tmp_path / "st")
     assert (srt_dir / "records.csv").read_bytes() == before
+
+
+def test_config_yields_to_flag_in_equals_form(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 11, "rho": 0.25}))
+    out = tmp_path / "a"
+    assert run_cli("--config", cfg, "synth", "srt", "--out", out, "--rho=0.75") == 0
+    echoed = json.loads((out / "run_config.json").read_text())
+    assert echoed["seed"] == 11 and echoed["rho"] == 0.75
+
+
+@pytest.mark.parametrize("before_subcommand", [True, False])
+def test_config_equals_form_is_read(tmp_path, before_subcommand):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 11, "rho": 0.25}))
+    out = tmp_path / "a"
+    argv = ["synth", "srt", "--out", out]
+    argv = [f"--config={cfg}", *argv] if before_subcommand else [*argv, f"--config={cfg}"]
+    assert run_cli(*argv) == 0
+    echoed = json.loads((out / "run_config.json").read_text())
+    assert echoed["seed"] == 11 and echoed["rho"] == 0.25
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"seed": 5, "warnings": [25000, 45000]}, "warnings"),
+        ({"seed": 5, "warnings": "25000,abc"}, "warnings"),
+        ({"seed": 5, "format": "xml"}, "format"),
+        ({"seed": 5.5}, "seed"),
+        ({"seed": 5, "bogus": 1}, "bogus"),
+        ({"seed": 5, "rho": 0.5}, "rho"),  # an option of synth srt, not of synth pose
+    ],
+)
+def test_config_bad_value_or_key_is_usage_error(tmp_path, capsys, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", path, "synth", "pose", "--out", tmp_path / "p")
+    assert exc.value.code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_config_supplies_required_out(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "from_config"
+    cfg.write_text(json.dumps({"seed": 4, "out": str(out)}))
+    assert run_cli("--config", cfg, "synth", "srt") == 0
+    assert (out / "records.csv").exists()
+
+
+def test_config_switch_takes_only_a_boolean(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    log.write_text("# woz-log v1\nTRIG 1 HAV 10000 10000\nRESP 1 10500\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"records": "yes"}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, "srt", "--log", log, "--out", tmp_path / "a")
+    assert exc.value.code == 2 and "'records'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"records": True}))
+    assert run_cli("--config", cfg, "srt", "--log", log, "--out", tmp_path / "b") == 0
+    assert (tmp_path / "b" / "records.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("participant,baseline_rt_ms\nP1,438\nP2,0\n", r"line 3: .*participant 'P2': baseline_rt_ms '0'"),
+        ("participant,baseline_rt_ms\nP1,fast\n", r"line 2: .*participant 'P1': baseline_rt_ms 'fast'"),
+        ("participant,baseline_rt_ms\nP1\n", r"line 2: .*participant 'P1': baseline_rt_ms None"),
+        ("participant,rt\nP1,438\n", r"line 1: .*baseline_rt_ms"),
+    ],
+)
+def test_detect_bad_baselines_are_named_errors(tmp_path, capsys, body, match):
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text(body)
+    code = run_cli("detect", "--input", tmp_path / "P1.csv", "--baselines", baselines,
+                   "--warnings", "25000", "--out", tmp_path / "det")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ParseError]: ")
+    assert re.search(match, err)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--window-sd", "0"), ("--window-mean", "-438"), ("--window-sd", "nan"), ("--warnings", "25000,abc")],
+)
+def test_detect_bad_numeric_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nP1,438\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("detect", "--input", tmp_path / "P1.csv", "--baselines", baselines,
+                "--out", tmp_path / "det", "--warnings", "25000", flag, value)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_stats_two_records_in_a_paired_cell(tmp_path, capsys):
+    srt_dir = tmp_path / "srt"
+    run_cli("synth", "srt", "--seed", 3, "--out", srt_dir)
+    records = srt_dir / "records.csv"
+    with open(records, "a") as fh:
+        fh.write("V1,VisionE,HAV,Vision,400.0\nV1,VisionE,HAV,Vision,410.0\nV1,VR-WT,HAV,SRT,420.0\n")
+    assert run_cli("stats", "--records", records, "--out", tmp_path / "st") == 1
+    err = capsys.readouterr().err
+    assert "PairingError" in err and "'V1'" in err and "VisionE/HAV" in err

@@ -43,10 +43,14 @@ def test_kernel_reference_baseline():
 
 
 def test_kernel_peak_and_inflection_values():
-    k = build_kernel(438.0, 33.33)
-    assert k.evaluate(k.mu_ms) == 1.0
-    assert k.evaluate(k.mu_ms + k.sigma_ms) == pytest.approx(math.exp(-0.5), rel=1e-12)
-    assert k.evaluate(k.mu_ms - k.sigma_ms) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    for k in (build_kernel(438.0, 33.33), build_kernel(480.0, 30.0)):
+        t = k.mu_ms + (np.arange(len(k)) - (len(k) - 1) / 2.0) * k.frame_ms
+        expected = k.amplitude * np.exp(-((t - k.mu_ms) ** 2) / (2.0 * k.sigma_ms**2))
+        assert np.allclose(k.samples, expected, rtol=1e-12, atol=0.0)
+    # 480 ms at 30 ms frames: 17 samples, the middle one at mu, sigma 60 ms = two frames
+    k = build_kernel(480.0, 30.0)
+    assert len(k) == 17 and k.samples[8] == 1.0
+    assert k.samples[6] == k.samples[10] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

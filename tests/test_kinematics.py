@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_stream
 from rtkit.errors import GapError
-from rtkit.kinematics import velocity_series, write_velocity_csv
+from rtkit.kinematics import velocity_series
 
 
 def test_single_landmark_345_triangle():
@@ -56,6 +56,16 @@ def test_dropped_frame_raises_gap_error():
     assert exc.value.frame_indices == [6]
 
 
+def test_nan_timestamp_is_a_gap():
+    # a NaN delta is outside every tolerance; the series must not come out NaN
+    ts = np.arange(5) * (1000.0 / 30.0)
+    ts[2] = np.nan
+    stream = make_stream(np.zeros((5, 33, 3)), timestamps=ts)
+    with pytest.raises(GapError) as exc:
+        velocity_series(stream)
+    assert exc.value.frame_indices == [2, 3]
+
+
 def test_velocity_sample_times_are_later_frame():
     coords = np.random.default_rng(3).normal(size=(5, 33, 3))
     stream = make_stream(coords)
@@ -100,12 +110,3 @@ def test_zero_velocity_iff_identical_frames():
     assert v[1] == 0.0
     assert v[0] > 0.0 and v[2] > 0.0
 
-
-def test_velocity_csv_export(tmp_path):
-    coords = np.random.default_rng(6).normal(size=(4, 25, 3))
-    series = velocity_series(make_stream(coords))
-    path = tmp_path / "v.csv"
-    write_velocity_csv(series, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "frame,t_ms,v"
-    assert len(lines) == len(series) + 1

@@ -209,6 +209,23 @@ def test_parse_csv_frame_rows_with_different_timestamps(tmp_path):
         parse_pose_stream(path)
 
 
+@pytest.mark.parametrize("fmt, line", [("csv", 68), ("jsonl", 3)])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_parse_non_finite_timestamp(tmp_path, fmt, line, value):
+    # frame 2 of 5 starts on line 68 of the CSV (after the header and 2 x 33 rows)
+    path = tmp_path / f"nan_ts.{fmt}"
+    if fmt == "csv":
+        frames = simple_frames(5)
+        frames[2] = (2, value, frames[2][2])
+        write_csv(path, frames)
+    else:
+        frames = [jsonl_frame(i) for i in range(5)]
+        frames[2]["timestamp_ms"] = value
+        path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(SchemaError, match=f"frame 2: timestamp_ms {value!r} on line {line} is not finite"):
+        parse_pose_stream(path)
+
+
 def test_parse_jsonl_landmark_without_z(tmp_path):
     path = tmp_path / "noz.jsonl"
     frames = [jsonl_frame(0), jsonl_frame(1)]
@@ -318,16 +335,24 @@ def test_validate_reports_gap():
     ts = np.arange(10) * (1000.0 / 30.0)
     ts[5:] += 1000.0 / 30.0  # one dropped frame before index 5
     stream = make_stream(np.zeros((10, 33, 3)), timestamps=ts)
-    findings = validate_stream(stream).of_kind("gap")
+    findings = [f for f in validate_stream(stream).findings if f.kind == "gap"]
     assert len(findings) == 1
     assert findings[0].frame_index == 5
+
+
+def test_validate_reports_nan_timestamp():
+    ts = np.arange(5) * (1000.0 / 30.0)
+    ts[2] = np.nan
+    stream = make_stream(np.zeros((5, 33, 3)), timestamps=ts)
+    findings = validate_stream(stream).findings
+    assert [(f.kind, f.frame_index) for f in findings] == [("timestamp", 2), ("timestamp", 3)]
 
 
 def test_validate_reports_visibility_range():
     vis = np.ones((3, 33))
     vis[1, 7] = 1.2
     stream = make_stream(np.zeros((3, 33, 3)), visibility=vis)
-    findings = validate_stream(stream).of_kind("range")
+    findings = [f for f in validate_stream(stream).findings if f.kind == "range"]
     assert len(findings) == 1
     assert findings[0].frame_index == 1
     assert findings[0].landmark_id == 7

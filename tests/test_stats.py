@@ -124,13 +124,6 @@ def test_welch_shift_scale_invariance(seed, shift, scale):
     assert r1.p == pytest.approx(r0.p, rel=1e-6, abs=1e-12)
 
 
-def test_welch_pooled_variant_flag():
-    a, b = [1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]
-    r = welch_ttest(a, b, equal_var=True)
-    assert r.variant == "student_pooled"
-    assert r.df == 6.0
-
-
 def test_welch_distributional_reference_cells():
     # Baseline vs field-AR visual cells are overwhelmingly significant
     base = SrtCell(Setting.BASELINE, "V", 410.0, 105.0, 32)

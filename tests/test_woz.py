@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtkit.errors import ParseError, TransportError
 from rtkit.woz import (
-    FailingTransport,
+    AckEvent,
     ListTransport,
     ScenarioScript,
     SimClock,
+    TriggerEvent,
     WallClock,
     builtin_scripts,
     format_event_log,
@@ -19,6 +21,20 @@ from rtkit.woz import (
     simulate_acks,
     write_event_log,
 )
+
+
+class FailingTransport:
+    """Raises after ``fail_after`` successful sends."""
+
+    def __init__(self, fail_after: int):
+        self.fail_after = fail_after
+        self.lines: list[str] = []
+
+    def send(self, line: str) -> None:
+        if len(self.lines) >= self.fail_after:
+            raise OSError("transport down")
+        self.lines.append(line)
+
 
 EXPECTED_SCHEDULES = {
     "V": [10, 20, 28, 33, 36],
@@ -226,3 +242,27 @@ def test_latency_uniform_thousand_events():
     report = latency_budget_check(triggers, acks)
     assert report.all_pass
     assert report.p99_ms < 10.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(latencies=st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1, max_size=60))
+def test_latency_p99_equals_numpy_percentile(latencies):
+    triggers = [TriggerEvent(seq, 0, 0, "V") for seq in range(1, len(latencies) + 1)]
+    acks = [AckEvent(seq, lat) for seq, lat in enumerate(latencies, start=1)]
+    assert latency_budget_check(triggers, acks).p99_ms == float(np.percentile(latencies, 99))
+
+
+def test_latency_reports_orphan_and_repeated_acks():
+    triggers = run_scenario(script_by_name("V"), SimClock(), ListTransport())
+    first, second = triggers[0], triggers[1]
+    acks = [
+        AckEvent(first.seq, first.dispatched_ms + 3),
+        AckEvent(99, 5),
+        AckEvent(first.seq, first.dispatched_ms + 40),
+        AckEvent(second.seq, second.dispatched_ms + 4),
+    ]
+    report = latency_budget_check(triggers, acks)
+    assert report.latencies_ms == {first.seq: 3, second.seq: 4}
+    assert report.orphan_acks == [acks[1]]
+    assert report.repeated_acks == [acks[2]]
+    assert report.all_pass
