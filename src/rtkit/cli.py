@@ -2,12 +2,13 @@
 
 Subcommands: ingest, detect, spectral, scenario, srt, stats, synth.
 Flag precedence is flags > config file (JSON) > defaults, and the
-effective configuration is echoed into the output directory. Every
-randomized behavior requires an explicit seed. The files this module
-writes itself (run_config.json, the JSON reports, the summary CSVs and
-scenario logs) are written atomically (temp file + rename); the pose,
-record, spectrum, CWT and grid files come from the library writers and
-are not. Inputs are never modified.
+effective configuration is echoed into the output directory. Each
+subcommand takes only the options it reads; only the synth commands draw
+random numbers, and they require --seed. The files this module writes
+itself (run_config.json, the JSON reports, the summary CSVs and scenario
+logs) are written atomically (temp file + rename); the pose, record,
+spectrum, CWT and grid files come from the library writers and are not.
+Inputs are never modified.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ def _atomic_json(path: Path, payload) -> None:
 def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")}
     _atomic_json(out_dir / "run_config.json", cfg)
-
-
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise SystemExit("error: --seed is required (no silent time-based default)")
-    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ def cmd_spectral(args) -> int:
         lo, hi, count = args.scales.split(":")
         scales = np.geomspace(float(lo), float(hi), int(count))
     else:
-        scales = spectral.default_scales()
+        scales = spectral.DEFAULT_SCALES
     cwt = spectral.cwt_gaus2(series, scales)
     spectral.write_cwt(cwt, out / f"{stream.source_id}_cwt.npy", out / f"{stream.source_id}_cwt.json")
     print(f"{stream.source_id}: spectrum ({spec.n} samples) and CWT ({len(scales)} scales) written")
@@ -175,13 +170,19 @@ def cmd_scenario(args) -> int:
 
 
 def _load_script(path: Path) -> woz.ScenarioScript:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return woz.ScenarioScript(
-        name=obj["name"],
-        duration_ms=int(obj["duration_ms"]),
-        triggers=tuple((int(t), str(m)) for t, m in obj["triggers"]),
-    )
+    """A scenario from a JSON file; ParseError names the file and the missing key or bad value."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        return woz.ScenarioScript(
+            name=obj["name"],
+            duration_ms=int(obj["duration_ms"]),
+            triggers=tuple((int(t), str(m)) for t, m in obj["triggers"]),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def cmd_srt(args) -> int:
@@ -250,6 +251,10 @@ def cmd_stats(args) -> int:
     if vision:
         ref = _rt_by_participant(records, stats.Setting.VR_WT, "HAV")
         shared = sorted(vision.keys() & ref.keys())
+        if len(shared) == 1:
+            raise PairingError(
+                f"cells VisionE/HAV and VR-WT/HAV share only participant {shared[0]!r}; a paired test needs two"
+            )
         if shared:
             res = stats.paired_ttest([vision[p] for p in shared], [ref[p] for p in shared])
             paired_lines.append(f"VisionE-vs-VR-WT-HAV,{len(shared)},{res.t!r},{res.df!r},{res.p!r}")
@@ -272,7 +277,6 @@ def _rt_by_participant(records, setting: stats.Setting, modality: str) -> dict[s
 
 def cmd_synth_pose(args) -> int:
     out = Path(args.out)
-    seed = _require_seed(args)
     warnings = [float(w) for w in args.warnings.split(",")]
     burst = synth.BurstSpec(
         onset_ms=args.onset,
@@ -285,32 +289,31 @@ def cmd_synth_pose(args) -> int:
         warning_times=warnings,
         bursts=burst,
         noise=synth.NoiseSpec(sigma=args.noise_sigma),
-        seed=seed,
+        seed=args.seed,
         source_id=args.source_id,
     )
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
     path = out / f"{args.source_id}.{args.format}"
     pose.write_pose_stream(stream, path, format=args.format)
-    synth.write_truth_sidecar(truths, seed, out / f"{args.source_id}_truth.json")
+    synth.write_truth_sidecar(truths, args.seed, out / f"{args.source_id}_truth.json")
     print(f"wrote {stream.n_frames}-frame stream with {len(truths)} burst(s) -> {path}")
     return 0
 
 
 def cmd_synth_srt(args) -> int:
     out = Path(args.out)
-    seed = _require_seed(args)
     if args.cells:
         cells, rho = synth.read_cells_json(args.cells)
         rho = args.rho if rho is None else rho
     else:
         cells = list(synth.REFERENCE_SRT_CELLS)
         rho = args.rho
-    records = synth.gen_srt_dataset(cells, seed=seed, rho=rho)
+    records = synth.gen_srt_dataset(cells, seed=args.seed, rho=rho)
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
     stats.write_records_csv(records, out / "records.csv")
-    synth.write_cells_sidecar(cells, seed, rho, out / "cells.json")
+    synth.write_cells_sidecar(cells, args.seed, rho, out / "cells.json")
     print(f"wrote {len(records)} record(s) across {len(cells)} cell(s)")
     return 0
 
@@ -328,6 +331,17 @@ def _warning_times(text: str) -> str:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected comma-separated times in ms, got {text!r}")
+
+
+def _scale_grid(text: str) -> str:
+    """argparse type: lo:hi:count with 0 < lo < hi and a whole count >= 1, returned as written."""
+    try:
+        lo, hi, count = text.split(":")
+        if 0 < float(lo) < float(hi) < math.inf and int(count) >= 1:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected lo:hi:count with 0 < lo < hi and a whole count >= 1, got {text!r}")
 
 
 def _positive_float(text: str) -> float:
@@ -350,20 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", required=True)
-        sp.add_argument("--fps", type=float, default=30.0)
-
     sp = sub.add_parser("ingest", parents=[config], help="parse and validate a pose file")
-    common(sp)
+    sp.add_argument("--out", required=True)
+    sp.add_argument("--fps", type=_positive_float, default=30.0)
     sp.add_argument("--input", required=True)
     sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
     sp.add_argument("--canonical", action="store_true", help="also write a canonical JSONL copy")
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("detect", parents=[config], help="vision-based reaction times for pose streams")
-    common(sp)
+    sp.add_argument("--out", required=True)
+    sp.add_argument("--fps", type=_positive_float, default=30.0)
     sp.add_argument("--input", required=True, help="pose file or directory of pose files")
     sp.add_argument("--baselines", required=True, help="CSV: participant,baseline_rt_ms")
     sp.add_argument("--warnings", type=_warning_times, required=True, help="comma-separated warning times (ms)")
@@ -374,22 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("spectral", parents=[config], help="FFT magnitude spectrum and CWT of the velocity series")
-    common(sp)
+    sp.add_argument("--out", required=True)
+    sp.add_argument("--fps", type=_positive_float, default=30.0)
     sp.add_argument("--input", required=True)
     sp.add_argument("--dims", choices=["auto", "xy", "xyz"], default="auto")
     sp.add_argument("--remove-mean", action="store_true")
-    sp.add_argument("--scales", default=None, help="lo:hi:count (frames, log-spaced)")
+    sp.add_argument("--scales", type=_scale_grid, default=None, help="lo:hi:count (frames, log-spaced)")
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("scenario", parents=[config], help="run a warning schedule and write the event log")
     sp.add_argument("--script", required=True, help="builtin name (V, HV, AV, HAV, ExpE) or JSON path")
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--clock", choices=["sim", "wall"], default="sim")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_scenario)
 
     sp = sub.add_parser("srt", parents=[config], help="parse an event log into SRT measurements")
-    common(sp)
+    sp.add_argument("--out", required=True)
     sp.add_argument("--log", required=True)
     sp.add_argument("--max-rt", type=int, default=woz.DEFAULT_MISS_MS)
     sp.add_argument("--latency-budget", type=float, default=10.0)
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_srt)
 
     sp = sub.add_parser("stats", parents=[config], help="summary, significance grids, paired report")
-    common(sp)
+    sp.add_argument("--out", required=True)
     sp.add_argument("--records", required=True)
     sp.set_defaults(func=cmd_stats)
 
@@ -407,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth_sub = sp.add_subparsers(dest="kind", required=True)
 
     sq = synth_sub.add_parser("pose", parents=[config], help="pose stream with injected reactions")
-    common(sq)
+    sq.add_argument("--seed", type=int, required=True)
+    sq.add_argument("--out", required=True)
+    sq.add_argument("--fps", type=_positive_float, default=30.0)
     sq.add_argument("--duration", type=float, default=60000.0)
     sq.add_argument("--warnings", type=_warning_times, default="25000,45000")
     sq.add_argument("--onset", type=float, default=400.0)
@@ -419,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     sq.set_defaults(func=cmd_synth_pose)
 
     sq = synth_sub.add_parser("srt", parents=[config], help="reaction-time records from cell parameters")
-    common(sq)
+    sq.add_argument("--seed", type=int, required=True)
+    sq.add_argument("--out", required=True)
     sq.add_argument("--cells", default=None, help="JSON cell parameters; defaults to the reference cells")
     sq.add_argument("--rho", type=float, default=0.5)
     sq.set_defaults(func=cmd_synth_srt)

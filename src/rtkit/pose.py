@@ -98,16 +98,15 @@ def parse_pose_stream(
     path: str | Path,
     format: str | None = None,
     nominal_fps: float = 30.0,
-    source_id: str | None = None,
 ) -> PoseStream:
-    """Parse a pose file into a validated PoseStream.
+    """Parse a pose file into a validated PoseStream named after the file's stem.
 
     ``format`` is "csv" or "jsonl"; inferred from the suffix when omitted.
-    Each frame must hold exactly 33 distinct landmark ids, in any order
-    (they are sorted by id), and every frame the same id set; frame numbers
-    and timestamps must be finite and increase strictly. Raises ParseError
-    (bad row, with line number), SchemaError (landmark count / ids / order /
-    timestamps), EmptyStream.
+    Each frame must hold exactly 33 distinct landmark ids from 0..32, in any
+    order (they are sorted by id), and every frame the same id set; frame
+    numbers and timestamps must be finite and increase strictly. Raises
+    ParseError (bad row, with line number), SchemaError (landmark count /
+    ids / order / timestamps), EmptyStream.
     Missing timestamps are synthesized from ``nominal_fps`` and flagged on
     the stream.
     """
@@ -118,7 +117,6 @@ def parse_pose_stream(
         format = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}")
-    sid = source_id if source_id is not None else path.stem
 
     read = _read_csv if format == "csv" else _read_jsonl
     frame_no, ts, starts, frame_line, rows, has_z = read(path)
@@ -140,9 +138,15 @@ def parse_pose_stream(
         )
         _reject(np.diff(ts) <= 0, lambda k: f"timestamps not strictly increasing at frame {frame_no[k + 1]}")
     _reject((ids != ids[0]).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame")
+    # every frame now holds the first frame's ids
+    _reject(
+        ~np.isin(ids[0], FULL_BODY_IDS),
+        lambda j: f"frame {frame_no[0]}: landmark id {int(ids[0, j])} is outside 0..{L - 1}"
+        f" (frame starts on line {frame_line[0]})",
+    )
 
     return PoseStream(
-        source_id=sid,
+        source_id=path.stem,
         nominal_fps=nominal_fps,
         landmark_ids=ids[0].astype(int),
         frame_index=frame_no,

@@ -33,6 +33,9 @@ WAVELET_TAG = "gaussian-2nd-order"
 SUPPORT_RADIUS = 5.0  # wavelet support truncated at +/- 5 scales
 # scale maximizing |W| for a Gaussian pulse of width sigma is sqrt(5)*sigma
 PULSE_SIGMA_TO_SCALE = np.sqrt(5.0)
+# log-spaced scale grid (frames) from 2 frames up to the 30-frame search window
+DEFAULT_SCALES = np.geomspace(2.0, 30.0, 32)
+DEFAULT_SCALES.flags.writeable = False
 
 _UNIFORM_RTOL = 1e-6
 
@@ -133,13 +136,6 @@ def cwt_gaus2(series: VelocitySeries, scales) -> CwtResult:
         coefficients=coeffs,
         boundary_mask=boundary,
     )
-
-
-def default_scales(window_frames: int = 30, count: int = 32, min_scale: float = 2.0) -> np.ndarray:
-    """Log-spaced scale grid from 2 frames up to the search-window length."""
-    if window_frames <= min_scale:
-        raise BadScales(f"window of {window_frames} frames leaves no scale range")
-    return np.geomspace(min_scale, float(window_frames), count)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .errors import DegenerateSample, MissingCell, PairingError
+from .errors import DegenerateSample, MissingCell, PairingError, ParseError
 
 
 class Setting(Enum):
@@ -114,23 +114,10 @@ def welch_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     return TTestResult(t=t, df=float(df), p=two_sided_p(t, df), paired=False, variant="welch")
 
 
-def paired_ttest(
-    a: Sequence[float],
-    b: Sequence[float],
-    participants_a: Sequence[str] | None = None,
-    participants_b: Sequence[str] | None = None,
-) -> TTestResult:
-    """Two-sided Student paired t-test on per-pair differences.
-
-    When participant labels are given, samples are aligned by label first;
-    a mismatch raises PairingError.
-    """
+def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
+    """Two-sided Student paired t-test on per-pair differences; a[i] pairs with b[i]."""
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
-    if participants_a is not None or participants_b is not None:
-        if participants_a is None or participants_b is None:
-            raise PairingError("participant labels must be given for both samples")
-        x, y = _align_pairs(x, y, participants_a, participants_b)
     if len(x) != len(y):
         raise PairingError(f"sample lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
@@ -147,18 +134,6 @@ def paired_ttest(
         return TTestResult(t=t, df=df, p=0.0, paired=True, variant="student_paired")
     t = float(mean_d / (sd_d / math.sqrt(n)))
     return TTestResult(t=t, df=df, p=two_sided_p(t, df), paired=True, variant="student_paired")
-
-
-def _align_pairs(x, y, pa, pb):
-    if sorted(pa) != sorted(pb):
-        only_a = sorted(set(pa) - set(pb))
-        only_b = sorted(set(pb) - set(pa))
-        raise PairingError(f"unpairable participants (a-only {only_a}, b-only {only_b})")
-    if len(set(pa)) != len(pa):
-        raise PairingError("duplicate participant labels")
-    order_b = {p: i for i, p in enumerate(pb)}
-    idx = [order_b[p] for p in pa]
-    return x, y[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -179,40 +154,32 @@ class SignificanceGrid:
     modalities_grid: dict[tuple[Setting, str, str], TTestResult]
 
 
-def significance_grid(
-    records: Sequence[ReactionRecord],
-    settings: Sequence[Setting] = SRT_SETTINGS,
-    modalities: Sequence[str] = ALL_MODALITIES,
-) -> SignificanceGrid:
-    """All pairwise Welch comparisons over the settings x modalities cells.
+def significance_grid(records: Sequence[ReactionRecord]) -> SignificanceGrid:
+    """All pairwise Welch comparisons over the SRT settings x modalities cells.
 
     Raises MissingCell (listing the absent combinations) when any required
     cell has fewer than two records.
     """
-    cells = {(s, m): [r.rt_ms for r in cell_records(records, s, m)] for s in settings for m in modalities}
+    cells = {(s, m): [r.rt_ms for r in cell_records(records, s, m)] for s in SRT_SETTINGS for m in ALL_MODALITIES}
     missing = [(s.value, m) for (s, m), vals in cells.items() if len(vals) < 2]
     if missing:
         raise MissingCell(f"missing cells: {missing}", cells=missing)
 
     sg: dict[tuple[str, Setting, Setting], TTestResult] = {}
-    for m in modalities:
-        for i, s1 in enumerate(settings):
-            for s2 in settings[i + 1 :]:
+    for m in ALL_MODALITIES:
+        for i, s1 in enumerate(SRT_SETTINGS):
+            for s2 in SRT_SETTINGS[i + 1 :]:
                 sg[(m, s1, s2)] = welch_ttest(cells[(s1, m)], cells[(s2, m)])
     mg: dict[tuple[Setting, str, str], TTestResult] = {}
-    for s in settings:
-        for i, m1 in enumerate(modalities):
-            for m2 in modalities[i + 1 :]:
+    for s in SRT_SETTINGS:
+        for i, m1 in enumerate(ALL_MODALITIES):
+            for m2 in ALL_MODALITIES[i + 1 :]:
                 mg[(s, m1, m2)] = welch_ttest(cells[(s, m1)], cells[(s, m2)])
     return SignificanceGrid(settings_grid=sg, modalities_grid=mg)
 
 
-def summary_table(
-    records: Sequence[ReactionRecord],
-    settings: Sequence[Setting] = SRT_SETTINGS,
-    modalities: Sequence[str] = ALL_MODALITIES,
-) -> dict[tuple[str, Setting], SampleSummary]:
-    cells = {(m, s): [r.rt_ms for r in cell_records(records, s, m)] for m in modalities for s in settings}
+def summary_table(records: Sequence[ReactionRecord]) -> dict[tuple[str, Setting], SampleSummary]:
+    cells = {(m, s): [r.rt_ms for r in cell_records(records, s, m)] for m in ALL_MODALITIES for s in SRT_SETTINGS}
     return {key: summarize(vals) for key, vals in cells.items() if vals}
 
 
@@ -230,9 +197,11 @@ def write_records_csv(records: Sequence[ReactionRecord], path: str | Path) -> No
 
 
 def read_records_csv(path: str | Path) -> list[ReactionRecord]:
+    """Records of a records CSV; ParseError names the file and line of a bad row."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.DictReader(fh), start=2):
+        reader = csv.DictReader(fh)
+        for row in reader:
             try:
                 records.append(
                     ReactionRecord(
@@ -243,8 +212,8 @@ def read_records_csv(path: str | Path) -> list[ReactionRecord]:
                         method=Method(row["method"]),
                     )
                 )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{i}: bad record: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: bad record: {exc}", line=reader.line_num) from exc
     return records
 
 
@@ -269,25 +238,18 @@ def write_summary_csv(summaries: dict[tuple[str, Setting], SampleSummary], path:
 
 def write_settings_grid_csv(grid: SignificanceGrid, path: str | Path) -> None:
     """Lower-triangle p-value grid of setting pairs, one block per modality."""
-    present = {s for (_, s1, s2) in grid.settings_grid for s in (s1, s2)}
-    mods = [m for m in ALL_MODALITIES if any(k[0] == m for k in grid.settings_grid)]
-    settings = [s for s in SRT_SETTINGS if s in present]
-    _write_lower_triangle(path, ["modality", "setting"], mods, settings, grid.settings_grid)
+    _write_lower_triangle(path, ["modality", "setting"], ALL_MODALITIES, SRT_SETTINGS, grid.settings_grid)
 
 
 def write_modalities_grid_csv(grid: SignificanceGrid, path: str | Path) -> None:
     """Lower-triangle p-value grid of modality pairs, one block per setting."""
-    mods = [m for m in ALL_MODALITIES if any(m in (m1, m2) for (_, m1, m2) in grid.modalities_grid)]
-    present = {s for (s, _, _) in grid.modalities_grid}
-    settings = [s for s in Setting if s in present]
-    _write_lower_triangle(path, ["setting", "modality"], settings, mods, grid.modalities_grid)
+    _write_lower_triangle(path, ["setting", "modality"], SRT_SETTINGS, ALL_MODALITIES, grid.modalities_grid)
 
 
 def _write_lower_triangle(path, head: list[str], blocks, items, results: dict) -> None:
     """One block per entry of ``blocks``: row item i against column items 0..i-1.
 
-    ``results`` is keyed (block, item, item) in either item order; a
-    missing pair is an empty cell.
+    ``results`` is keyed (block, earlier item, later item), as significance_grid keys its grids.
     """
 
     def label(x) -> str:
@@ -298,8 +260,5 @@ def _write_lower_triangle(path, head: list[str], blocks, items, results: dict) -
         w.writerow(head + [label(x) for x in items[:-1]])
         for b in blocks:
             for ri, row in enumerate(items[1:], start=1):
-                cells = []
-                for col in items[:ri]:
-                    res = results.get((b, col, row)) or results.get((b, row, col))
-                    cells.append("" if res is None else f"{res.p:.3f}")
+                cells = [f"{results[(b, col, row)].p:.3f}" for col in items[:ri]]
                 w.writerow([label(b), label(row)] + cells + [""] * (len(items) - 1 - ri))

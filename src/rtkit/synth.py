@@ -17,15 +17,15 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, i0e, i1e
+from scipy.special import erf
 
 from .errors import BadParams, SpecError
 from .pose import PoseStream
 from .stats import Method, ReactionRecord, Setting
 
-# mean / std of the norm of a standard normal vector, by dimension
-_NORM_MEAN = {2: math.sqrt(math.pi / 2.0), 3: 2.0 * math.sqrt(2.0 / math.pi)}
-_NORM_STD = {2: math.sqrt(2.0 - math.pi / 2.0), 3: math.sqrt(3.0 - 8.0 / math.pi)}
+# mean / std of the norm of a standard normal 3-vector (streams move in x, y and z)
+_NORM_MEAN = 2.0 * math.sqrt(2.0 / math.pi)
+_NORM_STD = math.sqrt(3.0 - 8.0 / math.pi)
 
 SRT_FLOOR_MS = 50.0  # physiological floor for generated reaction times
 
@@ -94,35 +94,30 @@ def _base_pose(n_landmarks: int = 33) -> np.ndarray:
     return np.stack([x, y, np.zeros(n_landmarks)], axis=1)
 
 
-def velocity_noise_std(noise_sigma: float, n_landmarks: int, fps: float, dims: str = "xyz") -> float:
-    """Analytic std of the noise-only velocity series.
+def velocity_noise_std(noise_sigma: float, n_landmarks: int, fps: float) -> float:
+    """Analytic std of the noise-only 3-D velocity series.
 
     Each frame-pair displacement per landmark is the norm of one i.i.d.
     walk step with per-axis std ``noise_sigma``; the cumulative velocity is
     their sum over landmarks divided by the frame duration.
     """
-    d = 3 if dims == "xyz" else 2
-    return math.sqrt(n_landmarks) * noise_sigma * _NORM_STD[d] * fps
+    return math.sqrt(n_landmarks) * noise_sigma * _NORM_STD * fps
 
 
-def velocity_noise_mean(noise_sigma: float, n_landmarks: int, fps: float, dims: str = "xyz") -> float:
-    d = 3 if dims == "xyz" else 2
-    return n_landmarks * noise_sigma * _NORM_MEAN[d] * fps
+def velocity_noise_mean(noise_sigma: float, n_landmarks: int, fps: float) -> float:
+    return n_landmarks * noise_sigma * _NORM_MEAN * fps
 
 
-def _noncentral_norm_mean(u: np.ndarray, s: float, d: int) -> np.ndarray:
-    """E||N(u*e, s^2*I_d)|| for d in {2, 3}."""
+def _noncentral_norm_mean(u: np.ndarray, s: float) -> np.ndarray:
+    """E||N(u*e, s^2*I_3)||."""
     u = np.asarray(u, dtype=float)
-    if d == 3:
-        safe = np.maximum(u, 1e-300)
-        return s * math.sqrt(2.0 / math.pi) * np.exp(-(u**2) / (2 * s**2)) + (
-            safe + s**2 / safe
-        ) * erf(safe / (math.sqrt(2.0) * s))
-    x = u**2 / (4.0 * s**2)
-    return s * math.sqrt(math.pi / 2.0) * ((1.0 + 2.0 * x) * i0e(x) + 2.0 * x * i1e(x))
+    safe = np.maximum(u, 1e-300)
+    return s * math.sqrt(2.0 / math.pi) * np.exp(-(u**2) / (2 * s**2)) + (
+        safe + s**2 / safe
+    ) * erf(safe / (math.sqrt(2.0) * s))
 
 
-def _compensate_steps(steps: np.ndarray, step_sigma: float, d: int) -> np.ndarray:
+def _compensate_steps(steps: np.ndarray, step_sigma: float) -> np.ndarray:
     """Per-frame step sizes whose expected norm under jitter adds exactly
     ``steps`` on top of the jitter-only pedestal.
 
@@ -134,10 +129,10 @@ def _compensate_steps(steps: np.ndarray, step_sigma: float, d: int) -> np.ndarra
     """
     if step_sigma == 0.0 or not steps.size or steps.max() <= 0:
         return steps
-    pedestal = float(_noncentral_norm_mean(np.zeros(1), step_sigma, d)[0])
+    pedestal = float(_noncentral_norm_mean(np.zeros(1), step_sigma)[0])
     hi = float(steps.max()) + 8.0 * step_sigma
     grid_u = np.linspace(0.0, hi, 4096)
-    grid_gain = _noncentral_norm_mean(grid_u, step_sigma, d) - pedestal
+    grid_gain = _noncentral_norm_mean(grid_u, step_sigma) - pedestal
     return np.interp(steps, grid_gain, grid_u)
 
 
@@ -166,9 +161,8 @@ def gen_pose_stream(
     noise: NoiseSpec,
     seed: int,
     source_id: str = "synth",
-    dims: str = "xyz",
 ) -> tuple[PoseStream, list[BurstTruth]]:
-    """Synthesize a pose stream with known injected reactions.
+    """Synthesize a 3-D pose stream with known injected reactions.
 
     ``bursts`` is a single BurstSpec (re-injected at every warning) or one
     entry per warning (BurstSpec, list of BurstSpec, or None). Returns the
@@ -182,7 +176,6 @@ def gen_pose_stream(
     n = int(round(duration_ms / frame_ms))
     if n < 2:
         raise SpecError("duration too short")
-    d = 3 if dims == "xyz" else 2
     per_warning = _normalize_bursts(warning_times, bursts)
 
     rng = np.random.default_rng(seed)
@@ -207,17 +200,17 @@ def gen_pose_stream(
 
             group = spec.affected_landmarks
             # unit directions, one per affected landmark, fixed for the burst
-            dirs = rng.normal(size=(len(group), d))
+            dirs = rng.normal(size=(len(group), 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             # displacement profile whose time derivative is the target
             # Gaussian speed (amplitude split evenly across the group)
             sigma_s = spec.burst_sigma_ms / 1000.0
             z = (t_ms - center) / (math.sqrt(2.0) * spec.burst_sigma_ms)
             profile = (spec.burst_amplitude / len(group)) * sigma_s * math.sqrt(math.pi / 2.0) * (1.0 + erf(z))
-            steps = _compensate_steps(np.diff(profile), noise.sigma, d)
+            steps = _compensate_steps(np.diff(profile), noise.sigma)
             walk = np.concatenate([[0.0], np.cumsum(steps)])
             for gi, lid in enumerate(group):
-                coords[:, lid, :d] += walk[:, None] * dirs[gi]
+                coords[:, lid] += walk[:, None] * dirs[gi]
             truths.append(
                 BurstTruth(
                     warning_t_ms=float(w_t),
@@ -230,10 +223,8 @@ def gen_pose_stream(
             )
 
     if noise.sigma > 0:
-        steps = rng.normal(0.0, noise.sigma, size=(n - 1, coords.shape[1], d))
-        coords[:, :, :d] += np.concatenate(
-            [np.zeros((1, coords.shape[1], d)), np.cumsum(steps, axis=0)], axis=0
-        )
+        steps = rng.normal(0.0, noise.sigma, size=(n - 1, coords.shape[1], 3))
+        coords += np.concatenate([np.zeros((1, coords.shape[1], 3)), np.cumsum(steps, axis=0)], axis=0)
 
     stream = PoseStream(
         source_id=source_id,
@@ -243,7 +234,6 @@ def gen_pose_stream(
         timestamps_ms=t_ms,
         coords=coords,
         visibility=np.ones((n, 33)),
-        has_z=(d == 3),
     )
     return stream, truths
 

@@ -24,6 +24,12 @@ from .errors import ToolkitError
 from .synth import DEFAULT_WINDOW_STATS, BurstSpec, NoiseSpec, gen_pose_stream, velocity_noise_std
 
 N_STREAM = 33  # landmarks carrying noise in a generated stream
+FPS = 30.0
+DURATION_MS = 60000.0
+WARNING_T_MS = 25000.0
+NOISE_SIGMA = 0.004
+SIGMA_MISMATCH = 0.25
+FRAME_MS = 1000.0 / FPS
 
 
 @dataclass(frozen=True)
@@ -41,46 +47,37 @@ class TrialResult:
         return self.error_ms is not None
 
 
-def run_detection_trial(
-    seed: int,
-    snr: float,
-    fps: float = 30.0,
-    duration_ms: float = 60000.0,
-    warning_t_ms: float = 25000.0,
-    noise_sigma: float = 0.004,
-    sigma_mismatch: float = 0.25,
-    window_stats: tuple[float, float] = DEFAULT_WINDOW_STATS,
-) -> TrialResult:
+def run_detection_trial(seed: int, snr: float) -> TrialResult:
     """Generate one synthetic reaction and measure the detector's error."""
     rng = np.random.default_rng(seed)
     baseline = float(rng.uniform(400.0, 600.0))
     kernel_sigma = baseline / 8.0
-    burst_sigma = kernel_sigma * float(rng.uniform(1.0 - sigma_mismatch, 1.0 + sigma_mismatch))
+    burst_sigma = kernel_sigma * float(rng.uniform(1.0 - SIGMA_MISMATCH, 1.0 + SIGMA_MISMATCH))
     onset = float(rng.uniform(50.0, 450.0))
-    amplitude = snr * velocity_noise_std(noise_sigma, N_STREAM, fps)
+    amplitude = snr * velocity_noise_std(NOISE_SIGMA, N_STREAM, FPS)
     burst = BurstSpec(
         onset_ms=onset,
         burst_sigma_ms=burst_sigma,
         burst_amplitude=amplitude,
-        center_offset_ms=baseline / 2.0 - 500.0 / fps,
+        center_offset_ms=baseline / 2.0 - 500.0 / FPS,
     )
     stream, _ = gen_pose_stream(
-        duration_ms=duration_ms,
-        fps=fps,
-        warning_times=[warning_t_ms],
+        duration_ms=DURATION_MS,
+        fps=FPS,
+        warning_times=[WARNING_T_MS],
         bursts=burst,
-        noise=NoiseSpec(sigma=noise_sigma),
+        noise=NoiseSpec(sigma=NOISE_SIGMA),
         seed=int(rng.integers(0, 2**63 - 1)),
         source_id=f"trial-{seed}",
     )
     try:
-        (est,) = detect(stream, [warning_t_ms], baseline, window_stats)
+        (est,) = detect(stream, [WARNING_T_MS], baseline, DEFAULT_WINDOW_STATS)
     except ToolkitError:
         return TrialResult(seed, snr, onset, baseline, burst_sigma, None, None)
     return TrialResult(seed, snr, onset, baseline, burst_sigma, est.rt_ms, est.rt_ms - onset)
 
 
-def error_summary(results: list[TrialResult], frame_ms: float = 1000.0 / 30.0) -> dict:
+def error_summary(results: list[TrialResult]) -> dict:
     """Share of trials within 1 and 2 frames, plus error quantiles."""
     errors = np.array([abs(r.error_ms) for r in results if r.ok])
     n = len(results)
@@ -89,8 +86,8 @@ def error_summary(results: list[TrialResult], frame_ms: float = 1000.0 / 30.0) -
     return {
         "n": n,
         "detect_failures": failed,
-        "within_1_frame": float(np.sum(errors <= frame_ms + tol)) / n,
-        "within_2_frames": float(np.sum(errors <= 2.0 * frame_ms + tol)) / n,
+        "within_1_frame": float(np.sum(errors <= FRAME_MS + tol)) / n,
+        "within_2_frames": float(np.sum(errors <= 2.0 * FRAME_MS + tol)) / n,
         "median_abs_error_ms": float(np.median(errors)) if len(errors) else float("nan"),
         "p95_abs_error_ms": float(np.percentile(errors, 95.0)) if len(errors) else float("nan"),
     }

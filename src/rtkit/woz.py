@@ -99,8 +99,8 @@ class Clock(Protocol):
 class SimClock:
     """Deterministic clock: sleeping jumps straight to the target time."""
 
-    def __init__(self, start_ms: float = 0.0):
-        self._now = float(start_ms)
+    def __init__(self):
+        self._now = 0.0
 
     def now_ms(self) -> float:
         return self._now

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from rtkit.cli import main
+from rtkit.cli import _subcommand, build_parser, main
 
 
 def run_cli(*argv):
@@ -44,9 +44,11 @@ def test_scenario_script_from_json(tmp_path):
     assert "TRIG 2 HAV 2000 2000" in out.read_text()
 
 
-def test_synth_srt_requires_seed(tmp_path):
-    with pytest.raises(SystemExit, match="seed"):
+def test_synth_srt_requires_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         run_cli("synth", "srt", "--out", tmp_path / "d")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_synth_srt_then_stats(tmp_path):
@@ -295,7 +297,8 @@ def test_detect_bad_baselines_are_named_errors(tmp_path, capsys, body, match):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--window-sd", "0"), ("--window-mean", "-438"), ("--window-sd", "nan"), ("--warnings", "25000,abc")],
+    [("--window-sd", "0"), ("--window-mean", "-438"), ("--window-sd", "nan"), ("--warnings", "25000,abc"),
+     ("--fps", "0"), ("--fps", "nan")],
 )
 def test_detect_bad_numeric_flags_are_usage_errors(tmp_path, capsys, flag, value):
     baselines = tmp_path / "baselines.csv"
@@ -316,3 +319,127 @@ def test_stats_two_records_in_a_paired_cell(tmp_path, capsys):
     assert run_cli("stats", "--records", records, "--out", tmp_path / "st") == 1
     err = capsys.readouterr().err
     assert "PairingError" in err and "'V1'" in err and "VisionE/HAV" in err
+
+
+# every option of every subcommand is read by that subcommand
+OPTION_DESTS = {
+    "ingest": {"out", "fps", "input", "format", "canonical"},
+    "detect": {"out", "fps", "input", "baselines", "warnings", "dims", "window_mean", "window_sd", "emit_trace"},
+    "spectral": {"out", "fps", "input", "dims", "remove_mean", "scales"},
+    "scenario": {"script", "clock", "out"},
+    "srt": {"out", "log", "max_rt", "latency_budget", "records", "participant", "setting"},
+    "stats": {"out", "records"},
+    "synth pose": {
+        "seed", "out", "fps", "duration", "warnings", "onset", "burst_sigma", "amplitude", "noise_sigma",
+        "source_id", "format",
+    },
+    "synth srt": {"seed", "out", "cells", "rho"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_DESTS))
+def test_subcommand_option_set(command):
+    sub = _subcommand(build_parser(), command.split())
+    assert {a.dest for a in sub._actions if a.option_strings} - {"help", "config"} == OPTION_DESTS[command]
+
+
+# each subcommand's required options, less --out
+REQUIRED_ARGV = {
+    "ingest": ["--input", "p.csv"],
+    "detect": ["--input", "p.csv", "--baselines", "b.csv", "--warnings", "25000"],
+    "spectral": ["--input", "p.csv"],
+    "scenario": ["--script", "V"],
+    "srt": ["--log", "l.txt"],
+    "stats": ["--records", "r.csv"],
+    "synth srt": ["--seed", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [pytest.param(c, f, id=f"{c} {f}") for c, f in [
+        *((c, "--seed") for c in ("ingest", "detect", "spectral", "scenario", "srt", "stats")),
+        *((c, "--fps") for c in ("srt", "stats", "synth srt")),
+    ]],
+)
+def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command.split(), *REQUIRED_ARGV[command], "--out", tmp_path / "o", flag, "4")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["pose", "srt"])
+def test_synth_seed_missing_from_flag_and_config(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "o")}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", cfg, "synth", kind)
+    assert exc.value.code == 2
+    assert "required: --seed" in capsys.readouterr().err
+
+
+def test_stats_bad_record_row_is_parse_error(tmp_path, capsys):
+    srt_dir = tmp_path / "srt"
+    run_cli("synth", "srt", "--seed", 3, "--out", srt_dir)
+    records = srt_dir / "records.csv"
+    n_lines = len(records.read_text().splitlines())
+    with open(records, "a") as fh:
+        fh.write("V1,VR-WT,HAV,SRT,-5.0\n")
+    assert run_cli("stats", "--records", records, "--out", tmp_path / "st") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ParseError]: ")
+    assert f"line {n_lines + 1}: {records}: bad record: rt_ms must be positive" in err
+
+
+def test_stats_one_shared_participant_is_pairing_error(tmp_path, capsys):
+    srt_dir = tmp_path / "srt"
+    run_cli("synth", "srt", "--seed", 3, "--out", srt_dir)
+    records = srt_dir / "records.csv"
+    with open(records, "a") as fh:
+        fh.write("V1,VisionE,HAV,Vision,400.0\nV1,VR-WT,HAV,SRT,420.0\n")
+    assert run_cli("stats", "--records", records, "--out", tmp_path / "st") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [PairingError]: ")
+    assert "VisionE/HAV" in err and "VR-WT/HAV" in err and "'V1'" in err
+
+
+@pytest.mark.parametrize("value", ["2:40", "2:40:16:1", "0:40:16", "40:2:16", "2:2:16", "2:40:0", "2:40:1.5",
+                                   "2:nan:16", "2:inf:16", "a:b:c", ""])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_spectral_bad_scales_are_usage_errors(tmp_path, capsys, value, from_config):
+    argv = ["spectral", "--input", tmp_path / "p.csv", "--out", tmp_path / "o"]
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scales": value}))
+        argv = ["--config", cfg, *argv]
+    else:
+        argv += ["--scales", value]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "--scales" in capsys.readouterr().err
+
+
+def test_spectral_scales_kept_as_written():
+    args = build_parser().parse_args(["spectral", "--input", "p.csv", "--out", "o", "--scales", "2.0:30.0:32"])
+    assert args.scales == "2.0:30.0:32"
+
+
+@pytest.mark.parametrize(
+    "script, match",
+    [
+        ({"name": "s", "triggers": [[1000, "V"]]}, "missing key 'duration_ms'"),
+        ({"name": "s", "duration_ms": 5000, "triggers": [[1000, "Q"]]}, "unknown modality 'Q'"),
+        ({"name": "s", "duration_ms": "long", "triggers": []}, "'long'"),
+    ],
+)
+def test_scenario_bad_script_is_parse_error(tmp_path, capsys, script, match):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(script))
+    assert run_cli("scenario", "--script", path, "--out", tmp_path / "s.log") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ParseError]: ")
+    assert str(path) in err and match in err
+    assert not (tmp_path / "s.log").exists()

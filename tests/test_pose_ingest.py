@@ -97,6 +97,22 @@ def test_parse_landmark_ids_differ_between_frames(tmp_path):
         parse_pose_stream(path)
 
 
+@pytest.mark.parametrize("fmt, line", [("csv", 2), ("jsonl", 1)])
+def test_parse_landmark_ids_outside_full_body(tmp_path, fmt, line):
+    # 33 distinct ids, the same set in every frame, none of them a body landmark
+    path = tmp_path / f"ids.{fmt}"
+    if fmt == "csv":
+        write_csv(path, [(fno, ts, [(j + 100, *rest) for j, *rest in lms]) for fno, ts, lms in simple_frames(3)])
+    else:
+        frames = [jsonl_frame(i) for i in range(3)]
+        for lm in (lm for f in frames for lm in f["landmarks"]):
+            lm["id"] += 100
+        path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    match = rf"frame 0: landmark id 100 is outside 0\.\.32 \(frame starts on line {line}\)"
+    with pytest.raises(SchemaError, match=match):
+        parse_pose_stream(path)
+
+
 def test_parse_frame_number_returns(tmp_path):
     path = tmp_path / "back.csv"
     frames = simple_frames(3)
@@ -272,7 +288,7 @@ def test_sixty_second_recording_roundtrip(tmp_path):
     for fmt in ("csv", "jsonl"):
         path = tmp_path / f"s60.{fmt}"
         write_pose_stream(stream, path, format=fmt)
-        back = parse_pose_stream(path, format=fmt, source_id="s60")
+        back = parse_pose_stream(path, format=fmt)
         assert back == stream
 
 
@@ -285,9 +301,9 @@ def test_sixty_second_recording_roundtrip(tmp_path):
 def test_roundtrip_property(tmp_path_factory, n_frames, seed, fmt):
     rng = np.random.default_rng(seed)
     stream = make_stream(rng.normal(size=(n_frames, 33, 3)))
-    path = tmp_path_factory.mktemp("rt") / f"s.{fmt}"
+    path = tmp_path_factory.mktemp("rt") / f"test.{fmt}"
     write_pose_stream(stream, path, format=fmt)
-    assert parse_pose_stream(path, format=fmt, source_id="test") == stream
+    assert parse_pose_stream(path, format=fmt) == stream
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -297,7 +313,7 @@ def test_roundtrip_non_finite_values(tmp_path, fmt):
     stream = make_stream(coords)
     path = tmp_path / f"s.{fmt}"
     write_pose_stream(stream, path, format=fmt)
-    back = parse_pose_stream(path, format=fmt, source_id="test")
+    back = parse_pose_stream(path, format=fmt)
     assert np.array_equal(back.coords, stream.coords, equal_nan=True)
 
 

@@ -10,7 +10,7 @@ from rtkit.errors import BadScales, NonUniformSampling
 from rtkit.spectral import (
     PULSE_SIGMA_TO_SCALE,
     cwt_gaus2,
-    default_scales,
+    DEFAULT_SCALES,
     fft_magnitude,
     gaus2_wavelet,
     write_cwt,
@@ -154,7 +154,7 @@ def test_cwt_bad_scales():
 
 
 def test_default_scales_grid():
-    scales = default_scales(window_frames=30)
+    scales = DEFAULT_SCALES
     assert len(scales) == 32
     assert scales[0] == pytest.approx(2.0)
     assert scales[-1] == pytest.approx(30.0)

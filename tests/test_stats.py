@@ -163,18 +163,6 @@ def test_paired_mismatched_lengths():
         paired_ttest([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-def test_paired_by_participant_alignment():
-    r1 = paired_ttest(
-        [10.0, 20.0, 30.0],
-        [30.0, 10.0, 20.0],
-        participants_a=["p1", "p2", "p3"],
-        participants_b=["p3", "p1", "p2"],
-    )
-    assert r1.t == 0.0 and r1.p == 1.0
-    with pytest.raises(PairingError):
-        paired_ttest([1.0, 2.0], [1.0, 2.0], participants_a=["a", "b"], participants_b=["a", "c"])
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_paired_depends_only_on_differences(seed):
