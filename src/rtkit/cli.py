@@ -100,7 +100,8 @@ def _read_baselines(path) -> dict[str, float]:
 
 def cmd_detect(args) -> int:
     out = Path(args.out)
-    inputs = sorted(Path(args.input).glob("*.csv")) + sorted(Path(args.input).glob("*.jsonl")) if Path(args.input).is_dir() else [Path(args.input)]
+    src = Path(args.input)
+    inputs = [p for suffix in pose.POSE_SUFFIXES for p in sorted(src.glob("*" + suffix))] if src.is_dir() else [src]
     if not inputs:
         raise SystemExit(f"error: no pose files under {args.input}")
     baselines = _read_baselines(args.baselines)
@@ -174,11 +175,14 @@ def _load_script(path: Path) -> woz.ScenarioScript:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        return woz.ScenarioScript(
-            name=obj["name"],
-            duration_ms=int(obj["duration_ms"]),
-            triggers=tuple((int(t), str(m)) for t, m in obj["triggers"]),
-        )
+        name, duration_ms, triggers = obj["name"], int(obj["duration_ms"]), []
+        for i, entry in enumerate(obj["triggers"]):
+            try:
+                t, m = entry
+                triggers.append((int(t), str(m)))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: trigger {i} {json.dumps(entry)}: {exc}") from None
+        return woz.ScenarioScript(name=name, duration_ms=duration_ms, triggers=tuple(triggers))
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -287,7 +291,7 @@ def cmd_synth_pose(args) -> int:
         duration_ms=args.duration,
         fps=args.fps,
         warning_times=warnings,
-        bursts=burst,
+        bursts=[burst] * len(warnings),
         noise=synth.NoiseSpec(sigma=args.noise_sigma),
         seed=args.seed,
         source_id=args.source_id,
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--latency-budget", type=float, default=10.0)
     sp.add_argument("--records", action="store_true", help="also write a records.csv for the stats command")
     sp.add_argument("--participant", default="P000")
-    sp.add_argument("--setting", default="Baseline")
+    sp.add_argument("--setting", choices=[s.value for s in stats.SRT_SETTINGS], default="Baseline")
     sp.set_defaults(func=cmd_srt)
 
     sp = sub.add_parser("stats", parents=[config], help="summary, significance grids, paired report")

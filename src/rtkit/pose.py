@@ -9,6 +9,7 @@ per-landmark object.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +18,12 @@ import numpy as np
 
 from .errors import EmptyStream, ParseError, SchemaError
 
-FULL_BODY_IDS = tuple(range(33))
-UPPER_BODY_IDS = tuple(range(25))
+# the BlazePose/MediaPipe skeleton: column j of a stream is landmark id j
+N_LANDMARKS = 33
+UPPER_BODY = 25  # ids 0..24, the first columns
+
+# pose-file suffix -> format; any other suffix is read and written as CSV
+POSE_SUFFIXES = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}
 
 # a frame-to-frame delta further than 50% from nominal is a gap/anomaly
 GAP_TOLERANCE = 0.5
@@ -34,12 +39,11 @@ class PoseStream:
     """Ordered pose frames for one participant/session.
 
     ``coords`` has shape (n_frames, n_landmarks, 3); ``visibility``
-    (n_frames, n_landmarks). ``landmark_ids`` gives the id of each column.
+    (n_frames, n_landmarks). Column j holds landmark id j.
     """
 
     source_id: str
     nominal_fps: float
-    landmark_ids: np.ndarray
     frame_index: np.ndarray
     timestamps_ms: np.ndarray
     coords: np.ndarray
@@ -51,7 +55,7 @@ class PoseStream:
         if len(self.frame_index) == 0:
             raise EmptyStream(f"{self.source_id}: stream has no frames")
         n, L = self.coords.shape[:2]
-        if self.visibility.shape != (n, L) or len(self.landmark_ids) != L:
+        if self.visibility.shape != (n, L):
             raise SchemaError(f"{self.source_id}: inconsistent array shapes")
 
     @property
@@ -60,7 +64,11 @@ class PoseStream:
 
     @property
     def n_landmarks(self) -> int:
-        return len(self.landmark_ids)
+        return self.coords.shape[1]
+
+    @property
+    def landmark_ids(self) -> np.ndarray:
+        return np.arange(self.n_landmarks)
 
     @property
     def frame_ms(self) -> float:
@@ -73,7 +81,6 @@ class PoseStream:
             self.source_id == other.source_id
             and self.nominal_fps == other.nominal_fps
             and self.has_z == other.has_z
-            and np.array_equal(self.landmark_ids, other.landmark_ids)
             and np.array_equal(self.frame_index, other.frame_index)
             and np.array_equal(self.timestamps_ms, other.timestamps_ms)
             and np.array_equal(self.coords, other.coords)
@@ -113,14 +120,9 @@ def parse_pose_stream(
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    if format is None:
-        format = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {format!r}")
-
-    read = _read_csv if format == "csv" else _read_jsonl
+    read = _read_csv if _format(path, format) == "csv" else _read_jsonl
     frame_no, ts, starts, frame_line, rows, has_z = read(path)
-    n, L = len(frame_no), len(FULL_BODY_IDS)
+    n, L = len(frame_no), N_LANDMARKS
     counts = np.diff(starts, append=len(rows))
     _reject(
         counts != L,
@@ -140,7 +142,7 @@ def parse_pose_stream(
     _reject((ids != ids[0]).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame")
     # every frame now holds the first frame's ids
     _reject(
-        ~np.isin(ids[0], FULL_BODY_IDS),
+        (ids[0] < 0) | (ids[0] >= L),
         lambda j: f"frame {frame_no[0]}: landmark id {int(ids[0, j])} is outside 0..{L - 1}"
         f" (frame starts on line {frame_line[0]})",
     )
@@ -148,7 +150,6 @@ def parse_pose_stream(
     return PoseStream(
         source_id=path.stem,
         nominal_fps=nominal_fps,
-        landmark_ids=ids[0].astype(int),
         frame_index=frame_no,
         timestamps_ms=frame_no * (1000.0 / nominal_fps) if ts is None else ts,
         coords=np.ascontiguousarray(rows[:, :, 1:4]),
@@ -156,6 +157,14 @@ def parse_pose_stream(
         has_z=has_z,
         timestamps_synthesized=ts is None,
     )
+
+
+def _format(path: Path, format: str | None) -> str:
+    """``format``, or the one POSE_SUFFIXES gives ``path``'s suffix; ValueError for an unknown format."""
+    format = POSE_SUFFIXES.get(path.suffix, "csv") if format is None else format
+    if format not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {format!r}")
+    return format
 
 
 def _reject(bad: np.ndarray, message) -> None:
@@ -269,10 +278,7 @@ def write_pose_stream(stream: PoseStream, path: str | Path, format: str | None =
     ``json.dumps`` spells them (JSONL), so every value reads back unchanged.
     """
     path = Path(path)
-    if format is None:
-        format = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {format!r}")
+    format = _format(path, format)
     block = _csv_block if format == "csv" else _jsonl_block
     with open(path, "w", newline="" if format == "csv" else None, encoding="utf-8") as fh:
         if format == "csv":
@@ -287,7 +293,7 @@ def _csv_block(stream: PoseStream, frames: slice) -> str:
     columns = (
         np.repeat(frame_index, L),
         np.repeat(np.asarray(stream.timestamps_ms[frames], dtype=float), L),
-        np.tile(stream.landmark_ids, len(frame_index)),
+        np.tile(np.arange(L), len(frame_index)),
         *np.asarray(stream.coords[frames], dtype=float).reshape(-1, 3).T,
         np.asarray(stream.visibility[frames], dtype=float).ravel(),
     )
@@ -305,9 +311,9 @@ def _jsonl_block(stream: PoseStream, frames: slice) -> str:
         _json_floats,
         (stream.timestamps_ms[frames], coords[:, :, 0], coords[:, :, 1], coords[:, :, 2], stream.visibility[frames]),
     )
-    ids = stream.landmark_ids.tolist()
-    L = len(ids)
-    landmarks = ['{"id": %d, "x": %s, "y": %s, "z": %s, "v": %s}' % lm for lm in zip(ids * len(ts), x, y, z, v)]
+    L = stream.n_landmarks
+    ids = list(range(L)) * len(ts)
+    landmarks = ['{"id": %d, "x": %s, "y": %s, "z": %s, "v": %s}' % lm for lm in zip(ids, x, y, z, v)]
     return "".join(
         '{"frame": %d, "timestamp_ms": %s, "landmarks": [%s]}\n' % (f, t, ", ".join(landmarks[i * L : (i + 1) * L]))
         for i, (f, t) in enumerate(zip(stream.frame_index[frames].tolist(), ts))
@@ -320,18 +326,13 @@ def _jsonl_block(stream: PoseStream, frames: slice) -> str:
 
 
 def select_upper_body(stream: PoseStream) -> PoseStream:
-    """Keep only landmarks 0..24. Pure filter; idempotent; order preserved."""
-    keep = np.isin(stream.landmark_ids, UPPER_BODY_IDS)
-    return PoseStream(
-        source_id=stream.source_id,
-        nominal_fps=stream.nominal_fps,
-        landmark_ids=stream.landmark_ids[keep].copy(),
-        frame_index=stream.frame_index.copy(),
-        timestamps_ms=stream.timestamps_ms.copy(),
-        coords=stream.coords[:, keep].copy(),
-        visibility=stream.visibility[:, keep].copy(),
-        has_z=stream.has_z,
-        timestamps_synthesized=stream.timestamps_synthesized,
+    """The first UPPER_BODY columns (landmarks 0..24); idempotent.
+
+    The result shares the caller's arrays (its coords and visibility are
+    views); nothing in the toolkit writes into a stream's arrays.
+    """
+    return dataclasses.replace(
+        stream, coords=stream.coords[:, :UPPER_BODY], visibility=stream.visibility[:, :UPPER_BODY]
     )
 
 
@@ -360,7 +361,7 @@ def validate_stream(stream: PoseStream) -> ValidationReport:
     """
     nominal = stream.frame_ms
     deltas = np.diff(stream.timestamps_ms)
-    frame, ids, vis = stream.frame_index, stream.landmark_ids, stream.visibility
+    frame, vis = stream.frame_index, stream.visibility
     findings = [
         Finding(
             "gap" if deltas[i] > nominal else "timestamp",
@@ -370,11 +371,11 @@ def validate_stream(stream: PoseStream) -> ValidationReport:
         for i in np.flatnonzero(off_nominal(deltas, nominal))
     ]
     findings += [
-        Finding("range", int(frame[i]), f"visibility {vis[i, j]!r} outside [0, 1]", landmark_id=int(ids[j]))
+        Finding("range", int(frame[i]), f"visibility {vis[i, j]!r} outside [0, 1]", landmark_id=int(j))
         for i, j in np.argwhere((vis < 0.0) | (vis > 1.0))
     ]
     findings += [
-        Finding("range", int(frame[i]), "non-finite coordinate", landmark_id=int(ids[j]))
+        Finding("range", int(frame[i]), "non-finite coordinate", landmark_id=int(j))
         for i, j in np.argwhere(~np.isfinite(stream.coords).all(axis=2))
     ]
     if stream.timestamps_synthesized:

@@ -47,8 +47,8 @@ class ReactionRecord:
     method: Method = Method.SRT
 
     def __post_init__(self):
-        if self.rt_ms <= 0:
-            raise ValueError(f"rt_ms must be positive, got {self.rt_ms}")
+        if not 0 < self.rt_ms < math.inf:
+            raise ValueError(f"rt_ms must be positive and finite, got {self.rt_ms}")
         if self.setting is Setting.VISION_E and (
             self.method is not Method.VISION or self.modality != "HAV"
         ):

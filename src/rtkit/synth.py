@@ -2,7 +2,7 @@
 record sets drawn from cell parameters.
 
 Pose streams are the ground-truth oracle for the detector: each burst moves
-a few landmarks along fixed directions with an erf-shaped displacement
+the two wrist landmarks along fixed directions with an erf-shaped displacement
 profile, so the induced velocity pulse is an exact Gaussian bump of chosen
 onset, width and amplitude on top of baseline micro-motion (a per-landmark
 random walk, the usual postural-sway stand-in).
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import BadParams, SpecError
-from .pose import PoseStream
+from .pose import N_LANDMARKS, PoseStream
 from .stats import Method, ReactionRecord, Setting
 
 # mean / std of the norm of a standard normal 3-vector (streams move in x, y and z)
@@ -28,11 +28,12 @@ _NORM_MEAN = 2.0 * math.sqrt(2.0 / math.pi)
 _NORM_STD = math.sqrt(3.0 - 8.0 / math.pi)
 
 SRT_FLOOR_MS = 50.0  # physiological floor for generated reaction times
+AFFECTED_LANDMARKS = (15, 16)  # the wrists: every burst moves these two landmarks
 
 
 @dataclass(frozen=True)
 class BurstSpec:
-    """One injected reaction: a Gaussian velocity pulse after a warning.
+    """One injected reaction: a Gaussian velocity pulse of the wrists after a warning.
 
     ``onset_ms`` is the pattern start relative to the warning. By default
     the pulse peaks ``4 * burst_sigma_ms`` after the onset (the pulse spans
@@ -44,16 +45,13 @@ class BurstSpec:
     onset_ms: float
     burst_sigma_ms: float
     burst_amplitude: float  # peak velocity, input units / second
-    affected_landmarks: tuple[int, ...] = (15, 16)
     center_offset_ms: float | None = None
 
     def __post_init__(self):
-        if self.onset_ms < 0:
-            raise SpecError("onset_ms must be >= 0")
-        if self.burst_amplitude <= 0 or self.burst_sigma_ms <= 0:
-            raise SpecError("burst amplitude and sigma must be positive")
-        if not self.affected_landmarks or any(not 0 <= i <= 24 for i in self.affected_landmarks):
-            raise SpecError("affected_landmarks must be a nonempty subset of 0..24")
+        if not 0 <= self.onset_ms < math.inf:
+            raise SpecError(f"onset_ms must be finite and >= 0, got {self.onset_ms}")
+        if not (0 < self.burst_amplitude < math.inf and 0 < self.burst_sigma_ms < math.inf):
+            raise SpecError("burst amplitude and sigma must be positive and finite")
 
     @property
     def center_ms(self) -> float:
@@ -70,8 +68,8 @@ class NoiseSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise SpecError("noise sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise SpecError(f"noise sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -83,15 +81,14 @@ class BurstTruth:
     center_abs_ms: float
     sigma_ms: float
     amplitude: float
-    affected_landmarks: tuple[int, ...]
 
 
-def _base_pose(n_landmarks: int = 33) -> np.ndarray:
+def _base_pose() -> np.ndarray:
     # fixed resting layout: a 6-wide grid in normalized image coordinates
-    ids = np.arange(n_landmarks)
+    ids = np.arange(N_LANDMARKS)
     x = 0.3 + 0.4 * (ids % 6) / 5.0
     y = 0.2 + 0.6 * (ids // 6) / 5.0
-    return np.stack([x, y, np.zeros(n_landmarks)], axis=1)
+    return np.stack([x, y, np.zeros(N_LANDMARKS)], axis=1)
 
 
 def velocity_noise_std(noise_sigma: float, n_landmarks: int, fps: float) -> float:
@@ -136,47 +133,29 @@ def _compensate_steps(steps: np.ndarray, step_sigma: float) -> np.ndarray:
     return np.interp(steps, grid_gain, grid_u)
 
 
-def _normalize_bursts(warning_times, bursts) -> list[list[BurstSpec]]:
-    if isinstance(bursts, BurstSpec):
-        return [[bursts] for _ in warning_times]
-    bursts = list(bursts)
-    if len(bursts) != len(warning_times):
-        raise SpecError(f"{len(bursts)} burst entries for {len(warning_times)} warnings")
-    out = []
-    for entry in bursts:
-        if entry is None:
-            out.append([])
-        elif isinstance(entry, BurstSpec):
-            out.append([entry])
-        else:
-            out.append(list(entry))
-    return out
-
-
 def gen_pose_stream(
     duration_ms: float,
     fps: float,
     warning_times: Sequence[float],
-    bursts,
+    bursts: Sequence[BurstSpec],
     noise: NoiseSpec,
     seed: int,
     source_id: str = "synth",
 ) -> tuple[PoseStream, list[BurstTruth]]:
     """Synthesize a 3-D pose stream with known injected reactions.
 
-    ``bursts`` is a single BurstSpec (re-injected at every warning) or one
-    entry per warning (BurstSpec, list of BurstSpec, or None). Returns the
-    stream together with the ground-truth burst list. Deterministic for a
-    given seed. Raises SpecError for bursts that overlap or spill outside
-    the recording.
+    ``bursts`` holds one BurstSpec per warning. Returns the stream together
+    with the ground-truth burst list. Deterministic for a given seed.
+    Raises SpecError for bursts that overlap or spill outside the recording.
     """
-    if duration_ms <= 0 or fps <= 0:
-        raise SpecError("duration and fps must be positive")
+    if not (0 < duration_ms < math.inf and 0 < fps < math.inf):
+        raise SpecError("duration and fps must be positive and finite")
     frame_ms = 1000.0 / fps
     n = int(round(duration_ms / frame_ms))
     if n < 2:
         raise SpecError("duration too short")
-    per_warning = _normalize_bursts(warning_times, bursts)
+    if len(bursts) != len(warning_times):
+        raise SpecError(f"{len(bursts)} bursts for {len(warning_times)} warnings")
 
     rng = np.random.default_rng(seed)
 
@@ -185,55 +164,42 @@ def gen_pose_stream(
 
     truths: list[BurstTruth] = []
     spans: list[tuple[float, float]] = []
-    for w_t, specs in zip(warning_times, per_warning):
-        for spec in specs:
-            center = w_t + spec.center_ms
-            lo, hi = center - 4.0 * spec.burst_sigma_ms, center + 4.0 * spec.burst_sigma_ms
-            if lo < 0 or hi > duration_ms:
-                raise SpecError(
-                    f"burst support [{lo:.1f}, {hi:.1f}] ms outside recording of {duration_ms} ms"
-                )
-            for plo, phi in spans:
-                if lo < phi and plo < hi:
-                    raise SpecError("overlapping bursts")
-            spans.append((lo, hi))
+    group = AFFECTED_LANDMARKS
+    for w_t, spec in zip(warning_times, bursts):
+        center = w_t + spec.center_ms
+        lo, hi = center - 4.0 * spec.burst_sigma_ms, center + 4.0 * spec.burst_sigma_ms
+        if not 0 <= lo <= hi <= duration_ms:
+            raise SpecError(f"burst support [{lo:.1f}, {hi:.1f}] ms outside recording of {duration_ms} ms")
+        for plo, phi in spans:
+            if lo < phi and plo < hi:
+                raise SpecError("overlapping bursts")
+        spans.append((lo, hi))
 
-            group = spec.affected_landmarks
-            # unit directions, one per affected landmark, fixed for the burst
-            dirs = rng.normal(size=(len(group), 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            # displacement profile whose time derivative is the target
-            # Gaussian speed (amplitude split evenly across the group)
-            sigma_s = spec.burst_sigma_ms / 1000.0
-            z = (t_ms - center) / (math.sqrt(2.0) * spec.burst_sigma_ms)
-            profile = (spec.burst_amplitude / len(group)) * sigma_s * math.sqrt(math.pi / 2.0) * (1.0 + erf(z))
-            steps = _compensate_steps(np.diff(profile), noise.sigma)
-            walk = np.concatenate([[0.0], np.cumsum(steps)])
-            for gi, lid in enumerate(group):
-                coords[:, lid] += walk[:, None] * dirs[gi]
-            truths.append(
-                BurstTruth(
-                    warning_t_ms=float(w_t),
-                    onset_ms=spec.onset_ms,
-                    center_abs_ms=center,
-                    sigma_ms=spec.burst_sigma_ms,
-                    amplitude=spec.burst_amplitude,
-                    affected_landmarks=group,
-                )
-            )
+        # unit directions, one per affected landmark, fixed for the burst
+        dirs = rng.normal(size=(len(group), 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # displacement profile whose time derivative is the target
+        # Gaussian speed (amplitude split evenly across the group)
+        sigma_s = spec.burst_sigma_ms / 1000.0
+        z = (t_ms - center) / (math.sqrt(2.0) * spec.burst_sigma_ms)
+        profile = (spec.burst_amplitude / len(group)) * sigma_s * math.sqrt(math.pi / 2.0) * (1.0 + erf(z))
+        steps = _compensate_steps(np.diff(profile), noise.sigma)
+        walk = np.concatenate([[0.0], np.cumsum(steps)])
+        for gi, lid in enumerate(group):
+            coords[:, lid] += walk[:, None] * dirs[gi]
+        truths.append(BurstTruth(float(w_t), spec.onset_ms, center, spec.burst_sigma_ms, spec.burst_amplitude))
 
     if noise.sigma > 0:
-        steps = rng.normal(0.0, noise.sigma, size=(n - 1, coords.shape[1], 3))
-        coords += np.concatenate([np.zeros((1, coords.shape[1], 3)), np.cumsum(steps, axis=0)], axis=0)
+        steps = rng.normal(0.0, noise.sigma, size=(n - 1, N_LANDMARKS, 3))
+        coords += np.concatenate([np.zeros((1, N_LANDMARKS, 3)), np.cumsum(steps, axis=0)], axis=0)
 
     stream = PoseStream(
         source_id=source_id,
         nominal_fps=fps,
-        landmark_ids=np.arange(33),
         frame_index=np.arange(n),
         timestamps_ms=t_ms,
         coords=coords,
-        visibility=np.ones((n, 33)),
+        visibility=np.ones((n, N_LANDMARKS)),
     )
     return stream, truths
 
@@ -248,7 +214,7 @@ def write_truth_sidecar(truths: Sequence[BurstTruth], seed: int, path: str | Pat
                 "center_abs_ms": t.center_abs_ms,
                 "sigma_ms": t.sigma_ms,
                 "amplitude": t.amplitude,
-                "affected_landmarks": list(t.affected_landmarks),
+                "affected_landmarks": list(AFFECTED_LANDMARKS),
             }
             for t in truths
         ],
@@ -293,7 +259,7 @@ def gen_srt_dataset(
     if not 0.0 <= rho < 1.0:
         raise BadParams(f"rho must be in [0, 1), got {rho}")
     for c in cells:
-        if c.sd_ms < 0 or c.n < 1 or c.mean_ms <= 0:
+        if not (0 <= c.sd_ms < math.inf and c.n >= 1 and 0 < c.mean_ms < math.inf):
             raise BadParams(f"bad cell parameters: {c}")
     rng = np.random.default_rng(seed)
     group_effects: dict[tuple[str, int], np.ndarray] = {}

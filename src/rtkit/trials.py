@@ -8,7 +8,7 @@ sample at the later frame of its pair), injects it into a noisy 60 s
 stream and runs the full detection pipeline.
 
 SNR is the burst's peak velocity amplitude over the analytic velocity-noise
-floor of the generated 33-landmark stream; the detector's upper-body
+floor of the generated full-body stream; the detector's upper-body
 filtering then sees a correspondingly cleaner series. Used by the
 acceptance suite and the SNR sweep script.
 """
@@ -21,9 +21,9 @@ import numpy as np
 
 from .detector import detect
 from .errors import ToolkitError
+from .pose import N_LANDMARKS
 from .synth import DEFAULT_WINDOW_STATS, BurstSpec, NoiseSpec, gen_pose_stream, velocity_noise_std
 
-N_STREAM = 33  # landmarks carrying noise in a generated stream
 FPS = 30.0
 DURATION_MS = 60000.0
 WARNING_T_MS = 25000.0
@@ -54,7 +54,7 @@ def run_detection_trial(seed: int, snr: float) -> TrialResult:
     kernel_sigma = baseline / 8.0
     burst_sigma = kernel_sigma * float(rng.uniform(1.0 - SIGMA_MISMATCH, 1.0 + SIGMA_MISMATCH))
     onset = float(rng.uniform(50.0, 450.0))
-    amplitude = snr * velocity_noise_std(NOISE_SIGMA, N_STREAM, FPS)
+    amplitude = snr * velocity_noise_std(NOISE_SIGMA, N_LANDMARKS, FPS)
     burst = BurstSpec(
         onset_ms=onset,
         burst_sigma_ms=burst_sigma,
@@ -65,7 +65,7 @@ def run_detection_trial(seed: int, snr: float) -> TrialResult:
         duration_ms=DURATION_MS,
         fps=FPS,
         warning_times=[WARNING_T_MS],
-        bursts=burst,
+        bursts=[burst],
         noise=NoiseSpec(sigma=NOISE_SIGMA),
         seed=int(rng.integers(0, 2**63 - 1)),
         source_id=f"trial-{seed}",

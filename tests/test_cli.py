@@ -433,6 +433,7 @@ def test_spectral_scales_kept_as_written():
         ({"name": "s", "triggers": [[1000, "V"]]}, "missing key 'duration_ms'"),
         ({"name": "s", "duration_ms": 5000, "triggers": [[1000, "Q"]]}, "unknown modality 'Q'"),
         ({"name": "s", "duration_ms": "long", "triggers": []}, "'long'"),
+        ({"name": "s", "duration_ms": 5000, "triggers": [[500, "V"], [1000]]}, "trigger 1 [1000]: "),
     ],
 )
 def test_scenario_bad_script_is_parse_error(tmp_path, capsys, script, match):
@@ -443,3 +444,61 @@ def test_scenario_bad_script_is_parse_error(tmp_path, capsys, script, match):
     assert err.startswith("error [ParseError]: ")
     assert str(path) in err and match in err
     assert not (tmp_path / "s.log").exists()
+
+
+@pytest.mark.parametrize("rt", ["nan", "inf", "-inf"])
+def test_stats_non_finite_rt_is_parse_error(tmp_path, capsys, rt):
+    srt_dir = tmp_path / "srt"
+    run_cli("synth", "srt", "--seed", 3, "--out", srt_dir)
+    records = srt_dir / "records.csv"
+    n_lines = len(records.read_text().splitlines())
+    with open(records, "a") as fh:
+        fh.write(f"V1,VR-WT,HAV,SRT,{rt}\n")
+    assert run_cli("stats", "--records", records, "--out", tmp_path / "st") == 1
+    err = capsys.readouterr().err
+    assert f"error [ParseError]: line {n_lines + 1}: {records}: bad record: rt_ms must be positive" in err
+    assert not (tmp_path / "st").exists()
+
+
+@pytest.mark.parametrize("flag", ["--amplitude", "--noise-sigma", "--onset", "--duration", "--burst-sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_pose_non_finite_parameter_is_spec_error(tmp_path, capsys, flag, value):
+    assert run_cli("synth", "pose", "--seed", 1, "--out", tmp_path / "p", flag, value) == 1
+    assert capsys.readouterr().err.startswith("error [SpecError]: ")
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("key", ["mean_ms", "sd_ms"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_synth_srt_non_finite_cell_is_bad_params(tmp_path, capsys, key, value):
+    cell = {"setting": "VR-WT", "modality": "HAV", "mean_ms": 438.0, "sd_ms": 154.0, "n": 4, key: value}
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps({"cells": [cell]}))
+    assert run_cli("synth", "srt", "--seed", 1, "--cells", cells, "--out", tmp_path / "d") == 1
+    assert capsys.readouterr().err.startswith("error [BadParams]: bad cell parameters")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("setting", ["Foo", "VisionE"])
+def test_srt_setting_outside_srt_settings_is_usage_error(tmp_path, capsys, setting):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("srt", "--log", tmp_path / "l.txt", "--out", tmp_path / "o", "--records", "--setting", setting)
+    assert exc.value.code == 2
+    assert "argument --setting: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_directory_reads_every_pose_suffix(tmp_path):
+    pose_dir, det_dir = tmp_path / "pose", tmp_path / "det"
+    for sid, fmt in (("P3", "jsonl"), ("P2", "jsonl"), ("P1", "csv")):
+        argv = ["--duration", 20000, "--warnings", 8000, "--amplitude", 4.0, "--format", fmt]
+        assert run_cli("synth", "pose", "--seed", 5, "--out", pose_dir, "--source-id", sid, *argv) == 0
+    (pose_dir / "P3.jsonl").rename(pose_dir / "P3.ndjson")
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nP1,438\nP2,438\nP3,438\n")
+    argv = ["--input", pose_dir, "--baselines", baselines, "--warnings", 8000, "--out", det_dir]
+    assert run_cli("detect", *argv) == 0
+    rows = (det_dir / "detection_summary.csv").read_text().splitlines()[1:]
+    # .csv files first, then .jsonl, then .ndjson; each group sorted by name
+    assert [row.split(",")[0] for row in rows] == ["P1", "P2", "P3"]
+    assert rows[1].split(",")[1:] == rows[2].split(",")[1:]

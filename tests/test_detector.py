@@ -241,7 +241,7 @@ def test_reaction_time_formula():
 def synth_stream(onset, baseline=438.0, snr=10.0, seed=0, warning=25000.0):
     amp = snr * velocity_noise_std(0.004, 33, 30.0)
     burst = BurstSpec(onset, baseline / 8.0, amp, center_offset_ms=baseline / 2.0 - FRAME_MS / 2.0)
-    stream, _ = gen_pose_stream(60000, 30.0, [warning], burst, NoiseSpec(0.004), seed=seed)
+    stream, _ = gen_pose_stream(60000, 30.0, [warning], [burst], NoiseSpec(0.004), seed=seed)
     return stream
 
 
@@ -270,7 +270,7 @@ def test_detect_two_warnings_like_session():
     amp = 10.0 * velocity_noise_std(0.004, 33, 30.0)
     burst = BurstSpec(350.0, 54.75, amp, center_offset_ms=219.0 - FRAME_MS / 2.0)
     stream, truths = gen_pose_stream(
-        60000, 30.0, [25000.0, 45000.0], burst, NoiseSpec(0.004), seed=9
+        60000, 30.0, [25000.0, 45000.0], [burst, burst], NoiseSpec(0.004), seed=9
     )
     assert len(truths) == 2
     ests = detect(stream, [25000.0, 45000.0], 438.0, (438.0, 154.0))

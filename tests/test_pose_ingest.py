@@ -326,6 +326,14 @@ def test_select_upper_body_keeps_25():
     assert np.array_equal(upper.coords, stream.coords[:, :25])
 
 
+def test_select_upper_body_shares_the_stream_arrays():
+    stream = make_stream(np.random.default_rng(2).normal(size=(4, 33, 3)))
+    upper = select_upper_body(stream)
+    assert np.shares_memory(upper.coords, stream.coords)
+    assert np.shares_memory(upper.visibility, stream.visibility)
+    assert upper.frame_index is stream.frame_index and upper.timestamps_ms is stream.timestamps_ms
+
+
 def test_select_upper_body_idempotent():
     stream = make_stream(np.random.default_rng(1).normal(size=(4, 33, 3)))
     once = select_upper_body(stream)
@@ -372,3 +380,11 @@ def test_validate_reports_visibility_range():
     assert len(findings) == 1
     assert findings[0].frame_index == 1
     assert findings[0].landmark_id == 7
+
+
+def test_ndjson_suffix_is_jsonl(tmp_path):
+    stream, _ = gen_pose_stream(1000, 30.0, [], [], NoiseSpec(0.01), seed=3, source_id="s")
+    write_pose_stream(stream, tmp_path / "s.ndjson")
+    write_pose_stream(stream, tmp_path / "s.jsonl")
+    assert (tmp_path / "s.ndjson").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
+    assert parse_pose_stream(tmp_path / "s.ndjson") == stream

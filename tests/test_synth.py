@@ -29,7 +29,7 @@ FRAME_MS = 1000.0 / 30.0
 
 def test_gen_pose_stream_deterministic():
     burst = BurstSpec(400.0, 54.75, 2.0)
-    args = dict(duration_ms=20000, fps=30.0, warning_times=[8000.0], bursts=burst, noise=NoiseSpec(0.003))
+    args = dict(duration_ms=20000, fps=30.0, warning_times=[8000.0], bursts=[burst], noise=NoiseSpec(0.003))
     s1, t1 = gen_pose_stream(**args, seed=77)
     s2, t2 = gen_pose_stream(**args, seed=77)
     assert s1 == s2 and t1 == t2
@@ -47,7 +47,7 @@ def test_clean_burst_velocity_pulse_shape():
     # noise-free: velocity argmax sits one frame-ish after onset + 4*sigma
     onset, sigma, amp = 400.0, 50.0, 2.0
     burst = BurstSpec(onset, sigma, amp)
-    stream, truths = gen_pose_stream(20000, 30.0, [8000.0], burst, NoiseSpec(0.0), seed=1)
+    stream, truths = gen_pose_stream(20000, 30.0, [8000.0], [burst], NoiseSpec(0.0), seed=1)
     series = velocity_series(select_upper_body(stream))
     t_peak = float(series.t_ms[int(np.argmax(series.v))])
     assert truths[0].center_abs_ms == 8000.0 + onset + 4 * sigma
@@ -61,7 +61,7 @@ def test_clean_burst_velocity_pulse_shape():
 def test_clean_burst_detector_recovery():
     amp = 10.0 * velocity_noise_std(0.004, 33, 30.0)
     burst = BurstSpec(400.0, 438.0 / 8.0, amp, center_offset_ms=219.0 - FRAME_MS / 2.0)
-    stream, _ = gen_pose_stream(60000, 30.0, [25000.0], burst, NoiseSpec(0.0), seed=2)
+    stream, _ = gen_pose_stream(60000, 30.0, [25000.0], [burst], NoiseSpec(0.0), seed=2)
     (est,) = detect(stream, [25000.0], 438.0, (438.0, 154.0))
     assert abs(est.rt_ms - 400.0) <= FRAME_MS + 1e-9
 
@@ -71,20 +71,18 @@ def test_burst_spec_validation():
         BurstSpec(-1.0, 50.0, 1.0)
     with pytest.raises(SpecError):
         BurstSpec(100.0, 0.0, 1.0)
-    with pytest.raises(SpecError):
-        BurstSpec(100.0, 50.0, 1.0, affected_landmarks=(30,))
 
 
 def test_overlapping_bursts_rejected():
-    b1 = BurstSpec(100.0, 50.0, 1.0)
-    b2 = BurstSpec(300.0, 50.0, 1.0)  # supports overlap
+    b = BurstSpec(100.0, 50.0, 1.0)
+    # supports [8100, 8500] and [8300, 8700] overlap
     with pytest.raises(SpecError, match="overlap"):
-        gen_pose_stream(20000, 30.0, [8000.0], [[b1, b2]], NoiseSpec(0.0), seed=0)
+        gen_pose_stream(20000, 30.0, [8000.0, 8200.0], [b, b], NoiseSpec(0.0), seed=0)
 
 
 def test_burst_outside_recording_rejected():
     with pytest.raises(SpecError, match="outside"):
-        gen_pose_stream(5000, 30.0, [4800.0], BurstSpec(400.0, 50.0, 1.0), NoiseSpec(0.0), seed=0)
+        gen_pose_stream(5000, 30.0, [4800.0], [BurstSpec(400.0, 50.0, 1.0)], NoiseSpec(0.0), seed=0)
 
 
 def test_burst_count_mismatch():
@@ -107,7 +105,7 @@ def test_noisy_burst_amplitude_delivered():
     peaks = []
     for seed in range(25):
         burst = BurstSpec(400.0, 60.0, amp)
-        stream, truths = gen_pose_stream(20000, fps, [8000.0], burst, NoiseSpec(sigma), seed=seed)
+        stream, truths = gen_pose_stream(20000, fps, [8000.0], [burst], NoiseSpec(sigma), seed=seed)
         series = velocity_series(select_upper_body(stream))
         sel = np.abs(series.t_ms - truths[0].center_abs_ms) <= FRAME_MS
         peaks.append(series.v[sel].max())
@@ -179,3 +177,9 @@ def test_detection_trial_smoke():
     summary = error_summary(results)
     assert summary["n"] == 20
     assert summary["within_1_frame"] >= 0.9
+
+
+def test_nan_center_offset_is_outside_the_recording():
+    burst = BurstSpec(100.0, 50.0, 1.0, center_offset_ms=float("nan"))
+    with pytest.raises(SpecError, match="outside"):
+        gen_pose_stream(20000, 30.0, [8000.0], [burst], NoiseSpec(0.0), seed=0)
