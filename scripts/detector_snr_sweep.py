@@ -23,10 +23,10 @@ def main() -> int:
     table = snr_sweep(snrs=snrs, n_trials=args.trials, base_seed=args.seed)
 
     cols = ("snr", "n", "fails", "within_1fr", "within_2fr", "median_ms", "p95_ms")
-    print(("{:>10}" * len(cols)).format(*cols))
+    print(("{:>12}" * len(cols)).format(*cols))
     for snr, row in table.items():
         print(
-            "{:>10.1f}{:>10d}{:>10d}{:>10.3f}{:>10.3f}{:>10.1f}{:>10.1f}".format(
+            "{:>12.1f}{:>12d}{:>12d}{:>12.3f}{:>12.3f}{:>12.1f}{:>12.1f}".format(
                 snr,
                 row["n"],
                 row["detect_failures"],

@@ -12,16 +12,17 @@ import argparse
 from pathlib import Path
 
 from rtkit.stats import (
-    Setting,
-    paired_ttest,
+    SRT_SETTINGS,
     significance_grid,
     summary_table,
+    vision_vs_srt,
     write_modalities_grid_csv,
     write_records_csv,
     write_settings_grid_csv,
     write_summary_csv,
 )
 from rtkit.synth import REFERENCE_SRT_CELLS, REFERENCE_VISION_CELLS, gen_srt_dataset
+from rtkit.woz import MODALITIES
 
 
 def main() -> int:
@@ -35,36 +36,30 @@ def main() -> int:
     summaries = summary_table(records)
     grid = significance_grid(records)
 
-    settings = (Setting.BASELINE, Setting.AR, Setting.VR_WOT, Setting.VR_WT)
     print("per-cell mean (sd), ms")
-    print("{:>6}".format("") + "".join(f"{s.value:>16}" for s in settings))
-    for m in ("V", "AV", "HV", "HAV"):
-        row = [f"{summaries[(m, s)].mean_ms:.0f} ({summaries[(m, s)].sd_ms:.0f})" for s in settings]
+    print("{:>6}".format("") + "".join(f"{s.value:>16}" for s in SRT_SETTINGS))
+    for m in MODALITIES:
+        row = [f"{summaries[(m, s)].mean_ms:.0f} ({summaries[(m, s)].sd_ms:.0f})" for s in SRT_SETTINGS]
         print(f"{m:>6}" + "".join(f"{c:>16}" for c in row))
 
     print("\ncross-setting Welch p-values (per modality)")
-    for m in ("V", "AV", "HV", "HAV"):
-        for i, s1 in enumerate(settings):
-            for s2 in settings[i + 1 :]:
+    for m in MODALITIES:
+        for i, s1 in enumerate(SRT_SETTINGS):
+            for s2 in SRT_SETTINGS[i + 1 :]:
                 res = grid.settings_grid[(m, s1, s2)]
                 print(f"  {m:>4} {s1.value:>9} vs {s2.value:<9} p={res.p:.3f}")
 
     print("\ncross-modality Welch p-values (per setting)")
-    mods = ("V", "AV", "HV", "HAV")
-    for s in settings:
-        for i, m1 in enumerate(mods):
-            for m2 in mods[i + 1 :]:
+    for s in SRT_SETTINGS:
+        for i, m1 in enumerate(MODALITIES):
+            for m2 in MODALITIES[i + 1 :]:
                 res = grid.modalities_grid[(s, m1, m2)]
                 print(f"  {s.value:>9} {m1:>4} vs {m2:<4} p={res.p:.3f}")
 
     print("\npaired vision-vs-SRT comparison")
     for warning, cells in REFERENCE_VISION_CELLS.items():
-        vrecords = gen_srt_dataset(cells, seed=args.seed + warning, rho=args.rho)
-        vis = {r.participant: r.rt_ms for r in vrecords if r.setting is Setting.VISION_E}
-        ref = {r.participant: r.rt_ms for r in vrecords if r.setting is Setting.VR_WT}
-        ordered = sorted(vis)
-        res = paired_ttest([vis[p] for p in ordered], [ref[p] for p in ordered])
-        print(f"  warning {warning}: n={len(ordered)} t={res.t:.3f} p={res.p:.3f}")
+        n, res = vision_vs_srt(gen_srt_dataset(cells, seed=args.seed + warning, rho=args.rho))
+        print(f"  warning {warning}: n={n} t={res.t:.3f} p={res.p:.3f}")
 
     if args.out:
         out = Path(args.out)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, kinematics, pose, spectral, stats, synth, woz
-from .errors import PairingError, ParseError, ToolkitError
+from .errors import EmptyStream, PairingError, ParseError, ToolkitError
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -103,7 +103,7 @@ def cmd_detect(args) -> int:
     src = Path(args.input)
     inputs = [p for suffix in pose.POSE_SUFFIXES for p in sorted(src.glob("*" + suffix))] if src.is_dir() else [src]
     if not inputs:
-        raise SystemExit(f"error: no pose files under {args.input}")
+        raise EmptyStream(f"no pose files under {args.input}")
     baselines = _read_baselines(args.baselines)
     warnings = [float(w) for w in args.warnings.split(",")]
     out.mkdir(parents=True, exist_ok=True)
@@ -113,7 +113,7 @@ def cmd_detect(args) -> int:
     for path in inputs:
         stream = pose.parse_pose_stream(path, nominal_fps=args.fps)
         if stream.source_id not in baselines:
-            raise SystemExit(f"error: no baseline reaction time for participant {stream.source_id!r}")
+            raise PairingError(f"{args.baselines}: no baseline reaction time for participant {stream.source_id!r}")
         estimates = detector.detect(
             stream,
             warnings,
@@ -160,7 +160,8 @@ def cmd_scenario(args) -> int:
     except KeyError:
         path = Path(args.script)
         if not path.exists():
-            raise SystemExit(f"error: unknown script {args.script!r}")
+            names = [s.name for s in woz.builtin_scripts()]
+            raise ParseError(f"unknown script {args.script!r}: no such file, and not a builtin script {names}")
         script = _load_script(path)
     clock = woz.SimClock() if args.clock == "sim" else woz.WallClock()
     sink = woz.ListTransport()
@@ -240,7 +241,7 @@ def cmd_stats(args) -> int:
     out = Path(args.out)
     records = stats.read_records_csv(args.records)
     if not records:
-        raise SystemExit(f"error: no records in {args.records}")
+        raise EmptyStream(f"{args.records}: no records")
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
 
@@ -250,33 +251,13 @@ def cmd_stats(args) -> int:
     stats.write_settings_grid_csv(grid, out / "grid_settings.csv")
     stats.write_modalities_grid_csv(grid, out / "grid_modalities.csv")
 
-    vision = _rt_by_participant(records, stats.Setting.VISION_E, "HAV")
     paired_lines = ["comparison,n,t,df,p"]
-    if vision:
-        ref = _rt_by_participant(records, stats.Setting.VR_WT, "HAV")
-        shared = sorted(vision.keys() & ref.keys())
-        if len(shared) == 1:
-            raise PairingError(
-                f"cells VisionE/HAV and VR-WT/HAV share only participant {shared[0]!r}; a paired test needs two"
-            )
-        if shared:
-            res = stats.paired_ttest([vision[p] for p in shared], [ref[p] for p in shared])
-            paired_lines.append(f"VisionE-vs-VR-WT-HAV,{len(shared)},{res.t!r},{res.df!r},{res.p!r}")
+    if paired := stats.vision_vs_srt(records):
+        n, res = paired
+        paired_lines.append(f"VisionE-vs-VR-WT-HAV,{n},{res.t!r},{res.df!r},{res.p!r}")
     _atomic_write(out / "paired.csv", "\n".join(paired_lines) + "\n")
     print(f"stats over {len(records)} record(s): summary, two grids, paired report")
     return 0
-
-
-def _rt_by_participant(records, setting: stats.Setting, modality: str) -> dict[str, float]:
-    """participant -> rt_ms in one cell; PairingError when a participant has two records there."""
-    out: dict[str, float] = {}
-    for r in stats.cell_records(records, setting, modality):
-        if r.participant in out:
-            raise PairingError(
-                f"participant {r.participant!r} has more than one record in cell {setting.value}/{modality}"
-            )
-        out[r.participant] = r.rt_ms
-    return out
 
 
 def cmd_synth_pose(args) -> int:
@@ -359,6 +340,17 @@ def _positive_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: a whole number above zero."""
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a whole number above zero, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     config_help = "JSON file of option defaults; flags override them"
     p = argparse.ArgumentParser(prog="rtkit", description=__doc__.splitlines()[0])
@@ -383,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--baselines", required=True, help="CSV: participant,baseline_rt_ms")
     sp.add_argument("--warnings", type=_warning_times, required=True, help="comma-separated warning times (ms)")
     sp.add_argument("--dims", choices=["auto", "xy", "xyz"], default="auto")
-    sp.add_argument("--window-mean", type=_positive_float, default=438.0)
-    sp.add_argument("--window-sd", type=_positive_float, default=154.0)
+    window_mean, window_sd = synth.DEFAULT_WINDOW_STATS
+    sp.add_argument("--window-mean", type=_positive_float, default=window_mean)
+    sp.add_argument("--window-sd", type=_positive_float, default=window_sd)
     sp.add_argument("--emit-trace", action="store_true")
     sp.set_defaults(func=cmd_detect)
 
@@ -406,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("srt", parents=[config], help="parse an event log into SRT measurements")
     sp.add_argument("--out", required=True)
     sp.add_argument("--log", required=True)
-    sp.add_argument("--max-rt", type=int, default=woz.DEFAULT_MISS_MS)
-    sp.add_argument("--latency-budget", type=float, default=10.0)
+    sp.add_argument("--max-rt", type=_positive_int, default=woz.DEFAULT_MISS_MS)
+    sp.add_argument("--latency-budget", type=_positive_float, default=10.0)
     sp.add_argument("--records", action="store_true", help="also write a records.csv for the stats command")
     sp.add_argument("--participant", default="P000")
     sp.add_argument("--setting", choices=[s.value for s in stats.SRT_SETTINGS], default="Baseline")

@@ -20,7 +20,7 @@ class SchemaError(ToolkitError):
 
 
 class EmptyStream(ToolkitError):
-    """Input contained no frames."""
+    """Input contained no frames or records."""
 
 
 # --- kinematics ---
@@ -40,7 +40,7 @@ class KernelTooShort(ToolkitError):
 
 
 class LengthError(ToolkitError):
-    """Series shorter than the kernel."""
+    """Series too short for the operation (shorter than the kernel, or too few frames or samples)."""
 
 
 class FlatSignal(ToolkitError):

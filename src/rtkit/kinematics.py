@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapError
+from .errors import GapError, LengthError
 from .pose import PoseStream, off_nominal
 
 
@@ -47,16 +47,16 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
     """Per-frame-pair movement speed for the whole stream.
 
     ``dims`` is "xy" or "xyz"; by default "xyz" when the stream carries z.
-    Raises GapError when any timestamp delta is outside +/-50% of the
-    nominal frame duration or is NaN; callers may subdivide the stream and
-    retry.
+    Raises LengthError for a stream of fewer than 2 frames, and GapError
+    when any timestamp delta is outside +/-50% of the nominal frame duration
+    or is NaN; callers may subdivide the stream and retry.
     """
     if dims is None:
         dims = "xyz" if stream.has_z else "xy"
     if dims not in ("xy", "xyz"):
         raise ValueError(f"dims must be 'xy' or 'xyz', got {dims!r}")
     if stream.n_frames < 2:
-        raise ValueError("need at least 2 frames")
+        raise LengthError(f"{stream.source_id}: {stream.n_frames} frame(s); a velocity series needs at least 2")
     deltas = np.diff(stream.timestamps_ms)
     bad = np.flatnonzero(off_nominal(deltas, stream.frame_ms))
     if bad.size:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadScales, NonUniformSampling
+from .errors import BadScales, LengthError, NonUniformSampling
 from .kinematics import VelocitySeries
 
 GAUS2_NORM = 2.0 / (np.sqrt(3.0) * np.pi**0.25)
@@ -67,9 +67,9 @@ class MagnitudeSpectrum:
 
 
 def fft_magnitude(series: VelocitySeries, remove_mean: bool = False) -> MagnitudeSpectrum:
-    """Magnitude of the one-sided discrete Fourier transform of the series."""
+    """Magnitude of the one-sided discrete Fourier transform of the series; LengthError under 2 samples."""
     if len(series) < 2:
-        raise ValueError("series too short for a spectrum")
+        raise LengthError(f"{series.source_id}: {len(series)} velocity sample(s); a spectrum needs at least 2")
     _check_uniform(series.t_ms)
     x = np.asarray(series.v, dtype=float)
     if remove_mean:

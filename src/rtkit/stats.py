@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DegenerateSample, MissingCell, PairingError, ParseError
+from .woz import MODALITIES
 
 
 class Setting(Enum):
@@ -35,7 +36,14 @@ class Method(Enum):
 
 
 SRT_SETTINGS = (Setting.BASELINE, Setting.AR, Setting.VR_WOT, Setting.VR_WT)
-ALL_MODALITIES = ("V", "AV", "HV", "HAV")
+
+
+def check_cell(setting: Setting, modality: str) -> None:
+    """ValueError unless (setting, modality) is a cell of the study: a known modality, HAV for VisionE."""
+    if modality not in MODALITIES:
+        raise ValueError(f"unknown modality {modality!r}; expected one of {'|'.join(MODALITIES)}")
+    if setting is Setting.VISION_E and modality != "HAV":
+        raise ValueError(f"VisionE cells are HAV by definition, got modality {modality!r}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +57,8 @@ class ReactionRecord:
     def __post_init__(self):
         if not 0 < self.rt_ms < math.inf:
             raise ValueError(f"rt_ms must be positive and finite, got {self.rt_ms}")
-        if self.setting is Setting.VISION_E and (
-            self.method is not Method.VISION or self.modality != "HAV"
-        ):
+        check_cell(self.setting, self.modality)
+        if self.setting is Setting.VISION_E and self.method is not Method.VISION:
             raise ValueError("VisionE records are vision-method HAV by definition")
 
 
@@ -145,6 +152,39 @@ def cell_records(records: Iterable[ReactionRecord], setting: Setting, modality: 
     return [r for r in records if r.setting is setting and r.modality == modality]
 
 
+def vision_vs_srt(records: Sequence[ReactionRecord]) -> tuple[int, TTestResult] | None:
+    """Paired t-test of VisionE against VR-WT/HAV reaction times, one pair per shared participant.
+
+    Returns (number of pairs, result), or None when there are no VisionE
+    records or no participant is in both cells. Raises PairingError when a
+    participant has two records in either cell, or when the cells share
+    exactly one participant.
+    """
+
+    def by_participant(setting: Setting) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for r in cell_records(records, setting, "HAV"):
+            if r.participant in out:
+                raise PairingError(
+                    f"participant {r.participant!r} has more than one record in cell {setting.value}/HAV"
+                )
+            out[r.participant] = r.rt_ms
+        return out
+
+    vision = by_participant(Setting.VISION_E)
+    if not vision:
+        return None
+    ref = by_participant(Setting.VR_WT)
+    shared = sorted(vision.keys() & ref.keys())
+    if len(shared) == 1:
+        raise PairingError(
+            f"cells VisionE/HAV and VR-WT/HAV share only participant {shared[0]!r}; a paired test needs two"
+        )
+    if not shared:
+        return None
+    return len(shared), paired_ttest([vision[p] for p in shared], [ref[p] for p in shared])
+
+
 @dataclass
 class SignificanceGrid:
     """Welch tests across settings (per modality) and across modalities
@@ -160,26 +200,26 @@ def significance_grid(records: Sequence[ReactionRecord]) -> SignificanceGrid:
     Raises MissingCell (listing the absent combinations) when any required
     cell has fewer than two records.
     """
-    cells = {(s, m): [r.rt_ms for r in cell_records(records, s, m)] for s in SRT_SETTINGS for m in ALL_MODALITIES}
+    cells = {(s, m): [r.rt_ms for r in cell_records(records, s, m)] for s in SRT_SETTINGS for m in MODALITIES}
     missing = [(s.value, m) for (s, m), vals in cells.items() if len(vals) < 2]
     if missing:
         raise MissingCell(f"missing cells: {missing}", cells=missing)
 
     sg: dict[tuple[str, Setting, Setting], TTestResult] = {}
-    for m in ALL_MODALITIES:
+    for m in MODALITIES:
         for i, s1 in enumerate(SRT_SETTINGS):
             for s2 in SRT_SETTINGS[i + 1 :]:
                 sg[(m, s1, s2)] = welch_ttest(cells[(s1, m)], cells[(s2, m)])
     mg: dict[tuple[Setting, str, str], TTestResult] = {}
     for s in SRT_SETTINGS:
-        for i, m1 in enumerate(ALL_MODALITIES):
-            for m2 in ALL_MODALITIES[i + 1 :]:
+        for i, m1 in enumerate(MODALITIES):
+            for m2 in MODALITIES[i + 1 :]:
                 mg[(s, m1, m2)] = welch_ttest(cells[(s, m1)], cells[(s, m2)])
     return SignificanceGrid(settings_grid=sg, modalities_grid=mg)
 
 
 def summary_table(records: Sequence[ReactionRecord]) -> dict[tuple[str, Setting], SampleSummary]:
-    cells = {(m, s): [r.rt_ms for r in cell_records(records, s, m)] for m in ALL_MODALITIES for s in SRT_SETTINGS}
+    cells = {(m, s): [r.rt_ms for r in cell_records(records, s, m)] for m in MODALITIES for s in SRT_SETTINGS}
     return {key: summarize(vals) for key, vals in cells.items() if vals}
 
 
@@ -222,7 +262,7 @@ def write_summary_csv(summaries: dict[tuple[str, Setting], SampleSummary], path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["modality", "stat"] + [s.value for s in settings])
-        for m in ALL_MODALITIES:
+        for m in MODALITIES:
             if not any(k[0] == m for k in summaries):
                 continue
             means, sds, ns = [], [], []
@@ -238,12 +278,12 @@ def write_summary_csv(summaries: dict[tuple[str, Setting], SampleSummary], path:
 
 def write_settings_grid_csv(grid: SignificanceGrid, path: str | Path) -> None:
     """Lower-triangle p-value grid of setting pairs, one block per modality."""
-    _write_lower_triangle(path, ["modality", "setting"], ALL_MODALITIES, SRT_SETTINGS, grid.settings_grid)
+    _write_lower_triangle(path, ["modality", "setting"], MODALITIES, SRT_SETTINGS, grid.settings_grid)
 
 
 def write_modalities_grid_csv(grid: SignificanceGrid, path: str | Path) -> None:
     """Lower-triangle p-value grid of modality pairs, one block per setting."""
-    _write_lower_triangle(path, ["setting", "modality"], SRT_SETTINGS, ALL_MODALITIES, grid.modalities_grid)
+    _write_lower_triangle(path, ["setting", "modality"], SRT_SETTINGS, MODALITIES, grid.modalities_grid)
 
 
 def _write_lower_triangle(path, head: list[str], blocks, items, results: dict) -> None:

@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import BadParams, SpecError
+from .errors import BadParams, ParseError, SpecError
 from .pose import N_LANDMARKS, PoseStream
-from .stats import Method, ReactionRecord, Setting
+from .stats import Method, ReactionRecord, Setting, check_cell
 
 # mean / std of the norm of a standard normal 3-vector (streams move in x, y and z)
 _NORM_MEAN = 2.0 * math.sqrt(2.0 / math.pi)
@@ -235,7 +235,8 @@ class SrtCell:
 
     Cells sharing a nonempty ``group`` (and the same n) draw correlated
     per-participant effects and share participant labels, which is what
-    makes paired tests between them meaningful.
+    makes paired tests between them meaningful. An unknown modality, or a
+    VisionE cell that is not HAV, is a ValueError.
     """
 
     setting: Setting
@@ -244,6 +245,9 @@ class SrtCell:
     sd_ms: float
     n: int
     group: str = ""
+
+    def __post_init__(self):
+        check_cell(self.setting, self.modality)
 
 
 def gen_srt_dataset(
@@ -314,21 +318,53 @@ def write_cells_sidecar(cells: Sequence[SrtCell], seed: int, rho: float, path: s
 
 
 def read_cells_json(path: str | Path) -> tuple[list[SrtCell], float | None]:
-    """Read a cell parameter file: {"rho": ..., "cells": [{...}, ...]}."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    cells = [
-        SrtCell(
-            setting=Setting(c["setting"]),
-            modality=c["modality"],
-            mean_ms=float(c["mean_ms"]),
-            sd_ms=float(c["sd_ms"]),
-            n=int(c["n"]),
-            group=c.get("group", ""),
-        )
-        for c in payload["cells"]
-    ]
-    return cells, payload.get("rho")
+    """Read a cell parameter file: {"rho": ..., "cells": [{...}, ...]}.
+
+    ParseError names the file, and the cell's index or ``rho``, for a file
+    that is not JSON, a missing key, a value that is not a number (a whole
+    number for ``n``), an unknown setting or modality, or a VisionE cell
+    that is not HAV.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("cells"), list):
+        raise ParseError(f"{path}: expected an object with a list of cells")
+    try:
+        rho = None if payload.get("rho") is None else _json_number(payload, "rho")
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    cells = []
+    for i, c in enumerate(payload["cells"]):
+        try:
+            n = _json_number(c, "n")
+            if not float(n).is_integer():
+                raise ValueError(f"n {n!r} is not a whole number")
+            cells.append(
+                SrtCell(
+                    setting=Setting(c["setting"]),
+                    modality=c["modality"],
+                    mean_ms=float(_json_number(c, "mean_ms")),
+                    sd_ms=float(_json_number(c, "sd_ms")),
+                    n=int(n),
+                    group=c.get("group", ""),
+                )
+            )
+        except KeyError as exc:
+            raise ParseError(f"{path}: cell {i}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: cell {i}: {exc}") from None
+    return cells, rho
+
+
+def _json_number(obj: dict, key: str) -> int | float:
+    """obj[key], which must be a JSON number; ValueError names the key."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} {json.dumps(value)} is not a number")
+    return value
 
 
 # ---------------------------------------------------------------------------

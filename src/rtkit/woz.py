@@ -227,7 +227,6 @@ class ParsedLog:
     srt_events: list[SrtEvent]
     orphan_responses: list[ResponseEvent]
     missed_triggers: list[int]  # seqs with no (timely) response
-    version: str = "1"
 
 
 def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> ParsedLog:
@@ -238,28 +237,29 @@ def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> Parse
     trigger is paired with its first response, in log order, after its
     dispatch. Responses with no such trigger, and later responses to an
     already paired trigger, are flagged as orphans; triggers whose response
-    exceeds ``max_rt_ms`` (or never arrives) are flagged as misses. Raises
-    ParseError with the offending line number.
+    exceeds ``max_rt_ms`` (or never arrives) are flagged as misses. A
+    comment on line 1 must be ``LOG_HEADER`` exactly, and a TRIG modality
+    must be one of ``MODALITIES``. Raises ParseError with the offending line
+    number.
     """
     triggers: list[TriggerEvent] = []
     acks: list[AckEvent] = []
     responses: list[ResponseEvent] = []
     by_seq: dict[int, TriggerEvent] = {}
-    version = "1"
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                if line_no == 1:
-                    if not line.startswith("# woz-log v"):
-                        raise ParseError(f"unrecognized log header {line!r}", line=line_no)
-                    version = line.split("v", 1)[1]
+                if line_no == 1 and line != LOG_HEADER:
+                    raise ParseError(f"unrecognized log header {line!r}; expected {LOG_HEADER!r}", line=line_no)
                 continue
             parts = line.split()
             try:
                 if parts[0] == "TRIG" and len(parts) == 5:
+                    if parts[2] not in MODALITIES:
+                        raise ParseError(f"unknown modality {parts[2]!r} in {line!r}", line=line_no)
                     trig = TriggerEvent(int(parts[1]), int(parts[3]), int(parts[4]), parts[2])
                     if trig.seq in by_seq:
                         raise ParseError(f"repeated trigger seq {trig.seq}", line=line_no)
@@ -304,7 +304,6 @@ def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> Parse
         srt_events=srt_events,
         orphan_responses=orphans,
         missed_triggers=missed,
-        version=version,
     )
 
 

@@ -1,9 +1,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
+from conftest import make_stream
 
 from rtkit.cli import _subcommand, build_parser, main
+from rtkit.pose import write_pose_stream
 
 
 def run_cli(*argv):
@@ -30,9 +33,12 @@ def test_scenario_expe_two_triggers(tmp_path):
     assert lines == ["TRIG 1 HAV 25000 25000", "TRIG 2 HAV 45000 45000"]
 
 
-def test_scenario_unknown_script(tmp_path):
-    with pytest.raises(SystemExit):
-        run_cli("scenario", "--script", "Nope", "--out", tmp_path / "x.log")
+def test_scenario_unknown_script(tmp_path, capsys):
+    assert run_cli("scenario", "--script", "Nope", "--out", tmp_path / "x.log") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ParseError]: ")
+    assert "'Nope'" in err and "'ExpE'" in err
+    assert not (tmp_path / "x.log").exists()
 
 
 def test_scenario_script_from_json(tmp_path):
@@ -69,11 +75,13 @@ def test_synth_srt_then_stats(tmp_path):
     assert (stats_dir / "paired.csv").exists()
 
 
-def test_stats_empty_records(tmp_path):
+def test_stats_empty_records(tmp_path, capsys):
     records = tmp_path / "records.csv"
     records.write_text("participant,setting,modality,method,rt_ms\n")
-    with pytest.raises(SystemExit):
-        run_cli("stats", "--records", records, "--out", tmp_path / "out")
+    assert run_cli("stats", "--records", records, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [EmptyStream]: ") and str(records) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_pose_detect_chain(tmp_path):
@@ -114,15 +122,16 @@ def test_synth_pose_detect_chain(tmp_path):
     assert "convolution" not in report["estimates"][0]
 
 
-def test_detect_missing_baseline_names_participant(tmp_path):
+def test_detect_missing_baseline_names_participant(tmp_path, capsys):
     pose_dir = tmp_path / "pose"
     run_cli("synth", "pose", "--seed", 6, "--out", pose_dir, "--source-id", "P009",
             "--warnings", "25000", "--amplitude", "4.0")
     baselines = tmp_path / "baselines.csv"
     baselines.write_text("participant,baseline_rt_ms\nOTHER,438\n")
-    with pytest.raises(SystemExit, match="P009"):
-        run_cli("detect", "--input", pose_dir / "P009.csv", "--baselines", baselines,
-                "--warnings", "25000", "--out", tmp_path / "det")
+    assert run_cli("detect", "--input", pose_dir / "P009.csv", "--baselines", baselines,
+                   "--warnings", "25000", "--out", tmp_path / "det") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [PairingError]: ") and "'P009'" in err
 
 
 def test_detect_emit_trace(tmp_path):
@@ -502,3 +511,110 @@ def test_detect_directory_reads_every_pose_suffix(tmp_path):
     # .csv files first, then .jsonl, then .ndjson; each group sorted by name
     assert [row.split(",")[0] for row in rows] == ["P1", "P2", "P3"]
     assert rows[1].split(",")[1:] == rows[2].split(",")[1:]
+
+
+def test_stats_unknown_modality_is_parse_error(tmp_path, capsys):
+    srt_dir = tmp_path / "srt"
+    run_cli("synth", "srt", "--seed", 3, "--out", srt_dir)
+    records = srt_dir / "records.csv"
+    n_lines = len(records.read_text().splitlines())
+    with open(records, "a") as fh:
+        fh.write("V1,VR-WT,hav,SRT,420.0\n")
+    assert run_cli("stats", "--records", records, "--out", tmp_path / "st") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [ParseError]: line {n_lines + 1}: {records}: bad record: unknown modality 'hav'")
+    assert not (tmp_path / "st").exists()
+
+
+def test_srt_unknown_trigger_modality_is_parse_error(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    log.write_text("# woz-log v1\nTRIG 1 XX 10000 10000\nRESP 1 10500\n")
+    assert run_cli("srt", "--log", log, "--out", tmp_path / "o", "--records") == 1
+    assert capsys.readouterr().err.startswith("error [ParseError]: line 2: unknown modality 'XX'")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--latency-budget", "nan"), ("--latency-budget", "inf"), ("--latency-budget", "-5"),
+     ("--latency-budget", "0"), ("--max-rt", "-1"), ("--max-rt", "0"), ("--max-rt", "400.5")],
+)
+@pytest.mark.parametrize("from_config", [False, True])
+def test_srt_bad_numeric_flags_are_usage_errors(tmp_path, capsys, flag, value, from_config):
+    log = tmp_path / "log.txt"
+    log.write_text("# woz-log v1\nTRIG 1 V 10000 10000\nACK 1 10004\nRESP 1 10400\n")
+    argv = ["srt", "--log", log, "--out", tmp_path / "o"]
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        argv = ["--config", cfg, *argv]
+    else:
+        argv += [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+CELL = {"setting": "VR-WT", "modality": "HAV", "mean_ms": 438.0, "sd_ms": 154.0, "n": 4}
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("{not json", "not a JSON file"),
+        (json.dumps({"rho": 0.5}), "a list of cells"),
+        (json.dumps({"cells": [CELL, {k: v for k, v in CELL.items() if k != "modality"}]}),
+         "cell 1: missing key 'modality'"),
+        (json.dumps({"cells": [{**CELL, "mean_ms": "abc"}]}), 'cell 0: mean_ms "abc" is not a number'),
+        (json.dumps({"cells": [{**CELL, "n": 4.5}]}), "cell 0: n 4.5 is not a whole number"),
+        (json.dumps({"cells": [{**CELL, "setting": "Lab"}]}), "cell 0: 'Lab' is not a valid Setting"),
+        (json.dumps({"cells": [CELL, {**CELL, "modality": "XX"}]}), "cell 1: unknown modality 'XX'"),
+        (json.dumps({"cells": [{**CELL, "setting": "VisionE", "modality": "V"}]}), "cell 0: VisionE cells are HAV"),
+        (json.dumps({"rho": "abc", "cells": [CELL]}), 'rho "abc" is not a number'),
+    ],
+)
+def test_synth_srt_bad_cells_file_is_parse_error(tmp_path, capsys, text, match):
+    cells = tmp_path / "cells.json"
+    cells.write_text(text)
+    assert run_cli("synth", "srt", "--seed", 1, "--cells", cells, "--out", tmp_path / "d") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [ParseError]: {cells}: ") and match in err
+    assert not (tmp_path / "d").exists()
+
+
+def _short_pose_file(tmp_path, n_frames):
+    coords = np.tile(np.linspace(0.1, 0.9, 33 * 3).reshape(33, 3), (n_frames, 1, 1))
+    path = tmp_path / "P1.csv"
+    write_pose_stream(make_stream(coords, source_id="P1"), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, n_frames, match",
+    [
+        ("detect", 1, "P1: 1 frame(s); a velocity series needs at least 2"),
+        ("spectral", 1, "P1: 1 frame(s); a velocity series needs at least 2"),
+        ("spectral", 2, "P1: 1 velocity sample(s); a spectrum needs at least 2"),
+    ],
+)
+def test_short_pose_stream_is_length_error(tmp_path, capsys, command, n_frames, match):
+    argv = [command, "--input", _short_pose_file(tmp_path, n_frames), "--out", tmp_path / "o"]
+    if command == "detect":
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text("participant,baseline_rt_ms\nP1,438\n")
+        argv += ["--baselines", baselines, "--warnings", "25000"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error [LengthError]: {match}\n"
+
+
+def test_detect_no_pose_files_is_empty_stream(tmp_path, capsys):
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nP1,438\n")
+    (tmp_path / "empty").mkdir()
+    argv = ["--input", tmp_path / "empty", "--baselines", baselines, "--warnings", "25000", "--out", tmp_path / "o"]
+    assert run_cli("detect", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [EmptyStream]: no pose files under ") and str(tmp_path / "empty") in err
+    assert not (tmp_path / "o").exists()

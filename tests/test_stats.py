@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtkit.errors import DegenerateSample, MissingCell, PairingError
+from rtkit.errors import DegenerateSample, MissingCell, PairingError, ParseError
 from rtkit.stats import (
     Method,
     ReactionRecord,
@@ -16,10 +16,11 @@ from rtkit.stats import (
     summarize,
     summary_table,
     two_sided_p,
+    vision_vs_srt,
     welch_ttest,
     write_records_csv,
 )
-from rtkit.synth import REFERENCE_SRT_CELLS, SrtCell, gen_srt_dataset
+from rtkit.synth import REFERENCE_SRT_CELLS, REFERENCE_VISION_CELLS, SrtCell, gen_srt_dataset
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -230,6 +231,53 @@ def test_record_invariants():
         ReactionRecord("p", Setting.VISION_E, "HAV", rt_ms=400.0, method=Method.SRT)
     with pytest.raises(ValueError):
         ReactionRecord("p", Setting.VISION_E, "V", rt_ms=400.0, method=Method.VISION)
+
+
+@pytest.mark.parametrize("modality", ["hav", "XX", ""])
+def test_record_unknown_modality(modality):
+    with pytest.raises(ValueError, match=f"unknown modality {modality!r}"):
+        ReactionRecord("p", Setting.BASELINE, modality, rt_ms=400.0)
+
+
+def test_records_csv_unknown_modality_names_line(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("participant,setting,modality,method,rt_ms\nP1,AR,V,SRT,400.0\nP1,AR,hav,SRT,400.0\n")
+    with pytest.raises(ParseError, match="line 3: .*unknown modality 'hav'"):
+        read_records_csv(path)
+
+
+def test_vision_vs_srt_pairs_by_participant():
+    records = gen_srt_dataset(REFERENCE_VISION_CELLS[1], seed=4)
+    vis = {r.participant: r.rt_ms for r in records if r.setting is Setting.VISION_E}
+    ref = {r.participant: r.rt_ms for r in records if r.setting is Setting.VR_WT}
+    ps = sorted(vis)
+    # record order does not matter, and records outside the two cells are ignored
+    others = gen_srt_dataset(REFERENCE_SRT_CELLS, seed=4)
+    assert vision_vs_srt(others + records[::-1]) == (21, paired_ttest([vis[p] for p in ps], [ref[p] for p in ps]))
+
+
+def test_vision_vs_srt_without_pairs_is_none():
+    vision_only = gen_srt_dataset(REFERENCE_VISION_CELLS[1][:1], seed=4)
+    assert vision_vs_srt(gen_srt_dataset(REFERENCE_SRT_CELLS, seed=4)) is None
+    assert vision_vs_srt(vision_only + gen_srt_dataset(REFERENCE_SRT_CELLS, seed=4)) is None
+
+
+@pytest.mark.parametrize(
+    "extra, match",
+    [
+        ([("V1", Setting.VR_WT)], "share only participant 'V1'"),
+        ([("V1", Setting.VISION_E), ("V1", Setting.VR_WT)], "'V1' has more than one record in cell VisionE/HAV"),
+        ([("V2", Setting.VR_WT), ("V2", Setting.VR_WT)], "'V2' has more than one record in cell VR-WT/HAV"),
+    ],
+)
+def test_vision_vs_srt_pairing_errors(extra, match):
+    def rec(p, setting):
+        method = Method.VISION if setting is Setting.VISION_E else Method.SRT
+        return ReactionRecord(p, setting, "HAV", rt_ms=400.0, method=method)
+
+    records = [rec("V1", Setting.VISION_E), rec("V2", Setting.VISION_E)] + [rec(p, s) for p, s in extra]
+    with pytest.raises(PairingError, match=match):
+        vision_vs_srt(records)
 
 
 def test_records_csv_roundtrip(tmp_path):

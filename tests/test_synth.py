@@ -160,6 +160,15 @@ def test_visione_records_flagged_vision_method():
     assert all(r.method is Method.VISION for r in records if r.setting is Setting.VISION_E)
 
 
+@pytest.mark.parametrize(
+    "setting, modality, match",
+    [(Setting.AR, "hav", "unknown modality 'hav'"), (Setting.VISION_E, "V", "VisionE cells are HAV")],
+)
+def test_cell_outside_the_study_is_value_error(setting, modality, match):
+    with pytest.raises(ValueError, match=match):
+        SrtCell(setting, modality, 400.0, 10.0, 5)
+
+
 def test_bad_params():
     with pytest.raises(BadParams):
         gen_srt_dataset([SrtCell(Setting.BASELINE, "V", 400.0, -1.0, 5)], seed=0)

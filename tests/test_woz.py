@@ -191,13 +191,28 @@ def test_parse_event_log_bad_line_number(tmp_path):
         parse_event_log(path)
 
 
+@pytest.mark.parametrize("modality", ["XX", "hav"])
+def test_parse_event_log_unknown_modality(tmp_path, modality):
+    path = tmp_path / "log.txt"
+    path.write_text(f"# woz-log v1\nTRIG 1 V 10000 10000\nTRIG 2 {modality} 20000 20000\n")
+    with pytest.raises(ParseError, match="line 3: unknown modality"):
+        parse_event_log(path)
+
+
+@pytest.mark.parametrize("header", ["# woz-log v7", "# woz-log v1.0", "# woz-log", "# a note"])
+def test_parse_event_log_header_is_exact(tmp_path, header):
+    path = tmp_path / "log.txt"
+    path.write_text(f"{header}\nTRIG 1 V 10000 10000\n")
+    with pytest.raises(ParseError, match="line 1: unrecognized log header"):
+        parse_event_log(path)
+
+
 def test_event_log_roundtrip(tmp_path):
     events = run_scenario(script_by_name("AV"), SimClock(), ListTransport())
     path = tmp_path / "log.txt"
     write_event_log(events, path)
     log = parse_event_log(path)
     assert log.triggers == events
-    assert log.version == "1"
 
 
 @settings(max_examples=15, deadline=None)
