@@ -497,8 +497,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except ToolkitError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
+        error = exc
+    except FileNotFoundError as exc:  # an input file that is not there, named as the pose reader names it
+        error = ParseError(f"no such file: {exc.filename}")
+    print(f"error [{type(error).__name__}]: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

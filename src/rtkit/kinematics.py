@@ -49,7 +49,8 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
     ``dims`` is "xy" or "xyz"; by default "xyz" when the stream carries z.
     Raises LengthError for a stream of fewer than 2 frames, and GapError
     when any timestamp delta is outside +/-50% of the nominal frame duration
-    or is NaN; callers may subdivide the stream and retry.
+    or is NaN; callers may subdivide the stream and retry. The stream's
+    arrays are only read, so they may be read-only views.
     """
     if dims is None:
         dims = "xyz" if stream.has_z else "xy"
@@ -65,8 +66,15 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
             f"{stream.source_id}: {len(frames)} frame gap(s), first before frame {frames[0]}",
             frame_indices=frames,
         )
-    step = np.diff(stream.coords[:, :, : len(dims)], axis=0)
-    disp = np.sqrt((step**2).sum(axis=2)).sum(axis=1)
+    # squared steps summed axis by axis into one (frames - 1, landmarks)
+    # array: x + y, then + z, the order numpy sums a short last axis in
+    coords = stream.coords
+    sq = None
+    for d in range(len(dims)):
+        step = coords[1:, :, d] - coords[:-1, :, d]
+        step *= step
+        sq = step if sq is None else np.add(sq, step, out=sq)
+    disp = np.sqrt(sq, out=sq).sum(axis=1)
     v = disp / (deltas / 1000.0)
     fps = 1000.0 / float(np.median(deltas))
     return VelocitySeries(

@@ -39,7 +39,9 @@ class PoseStream:
     """Ordered pose frames for one participant/session.
 
     ``coords`` has shape (n_frames, n_landmarks, 3); ``visibility``
-    (n_frames, n_landmarks). Column j holds landmark id j.
+    (n_frames, n_landmarks). Column j holds landmark id j. The arrays may
+    be read-only views (the upper-body filter slices them, the generator
+    broadcasts one visibility value); nothing in rtkit writes into them.
     """
 
     source_id: str

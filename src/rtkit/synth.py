@@ -160,11 +160,14 @@ def gen_pose_stream(
     rng = np.random.default_rng(seed)
 
     t_ms = np.arange(n) * frame_ms
-    coords = np.tile(_base_pose(), (n, 1, 1))
+    base = _base_pose()
+    group = list(AFFECTED_LANDMARKS)
+    # the wrists' resting pose plus every burst's displacement, summed in
+    # burst order; the noise walk is added to it last
+    wrists = np.tile(base[group], (n, 1, 1))
 
     truths: list[BurstTruth] = []
     spans: list[tuple[float, float]] = []
-    group = AFFECTED_LANDMARKS
     for w_t, spec in zip(warning_times, bursts):
         center = w_t + spec.center_ms
         lo, hi = center - 4.0 * spec.burst_sigma_ms, center + 4.0 * spec.burst_sigma_ms
@@ -185,13 +188,25 @@ def gen_pose_stream(
         profile = (spec.burst_amplitude / len(group)) * sigma_s * math.sqrt(math.pi / 2.0) * (1.0 + erf(z))
         steps = _compensate_steps(np.diff(profile), noise.sigma)
         walk = np.concatenate([[0.0], np.cumsum(steps)])
-        for gi, lid in enumerate(group):
-            coords[:, lid] += walk[:, None] * dirs[gi]
+        for gi in range(len(group)):
+            wrists[:, gi] += walk[:, None] * dirs[gi]
         truths.append(BurstTruth(float(w_t), spec.onset_ms, center, spec.burst_sigma_ms, spec.burst_amplitude))
 
+    # the noise walk is built in place: one draw, scaled, summed along time.
+    # Addition commutes in IEEE arithmetic, so walk + pose has the bits of
+    # pose + walk.
+    coords = np.empty((n, N_LANDMARKS, 3))
     if noise.sigma > 0:
-        steps = rng.normal(0.0, noise.sigma, size=(n - 1, N_LANDMARKS, 3))
-        coords += np.concatenate([np.zeros((1, N_LANDMARKS, 3)), np.cumsum(steps, axis=0)], axis=0)
+        coords[0] = 0.0
+        sway = coords[1:]
+        rng.standard_normal(out=sway)
+        sway *= noise.sigma
+        np.cumsum(sway, axis=0, out=sway)
+        wrists += coords[:, group]
+        coords += base
+    else:
+        coords[:] = base
+    coords[:, group] = wrists
 
     stream = PoseStream(
         source_id=source_id,
@@ -199,7 +214,7 @@ def gen_pose_stream(
         frame_index=np.arange(n),
         timestamps_ms=t_ms,
         coords=coords,
-        visibility=np.ones((n, N_LANDMARKS)),
+        visibility=np.broadcast_to(1.0, (n, N_LANDMARKS)),
     )
     return stream, truths
 

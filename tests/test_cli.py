@@ -618,3 +618,20 @@ def test_detect_no_pose_files_is_empty_stream(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error [EmptyStream]: no pose files under ") and str(tmp_path / "empty") in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["stats", "--records", "{d}/nope.csv"], "nope.csv"),
+        (["srt", "--log", "{d}/nope.log"], "nope.log"),
+        (["detect", "--input", "{d}/P1.csv", "--baselines", "{d}/nope.csv", "--warnings", "25000"], "nope.csv"),
+        (["synth", "srt", "--seed", "1", "--cells", "{d}/nope.json"], "nope.json"),
+    ],
+    ids=["stats-records", "srt-log", "detect-baselines", "synth-srt-cells"],
+)
+def test_missing_input_file_is_parse_error(tmp_path, capsys, argv, missing):
+    (tmp_path / "P1.csv").write_text("frame,id,x,y\n")
+    argv = [a.format(d=tmp_path) for a in argv] + ["--out", tmp_path / "o"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error [ParseError]: no such file: {tmp_path / missing}\n"

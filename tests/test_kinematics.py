@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import make_stream
 from rtkit.errors import GapError
 from rtkit.kinematics import velocity_series
+from rtkit.pose import select_upper_body
+from rtkit.synth import BurstSpec, NoiseSpec, gen_pose_stream
 
 
 def test_single_landmark_345_triangle():
@@ -30,6 +32,20 @@ def test_displacement_matches_bruteforce(seed, dims):
     # one sample is the summed displacement over the frame duration
     v = velocity_series(stream, dims=dims).v[0]
     assert v == pytest.approx(expected * stream.nominal_fps, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", ["xy", "xyz"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_velocity_bitwise_equals_diff_formula(seed, dims):
+    # the per-axis accumulation adds the squared steps in the order of a
+    # sum over the last axis, so the bits match, not just the value
+    burst = BurstSpec(400.0, 54.75, 2.0)
+    stream, _ = gen_pose_stream(20000, 30.0, [8000.0], [burst], NoiseSpec(0.004), seed)
+    for s in (stream, select_upper_body(stream)):
+        c = s.coords[:, :, : len(dims)]
+        dt = np.diff(s.timestamps_ms)
+        expected = np.sqrt((np.diff(c, axis=0) ** 2).sum(axis=2)).sum(axis=1) / (dt / 1000)
+        assert np.array_equal(velocity_series(s, dims=dims).v, expected)
 
 
 def test_static_subject_all_zero(static_stream):

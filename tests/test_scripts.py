@@ -18,3 +18,26 @@ def test_snr_sweep_header_splits_into_column_names():
     header, *rows = run_script("detector_snr_sweep.py", "--seed", "1", "--trials", "2", "--snrs", "5")
     assert header.split() == ["snr", "n", "fails", "within_1fr", "within_2fr", "median_ms", "p95_ms"]
     assert len(rows) == 1 and len(rows[0].split()) == 7
+
+
+def test_bench_ab_summary_counts_wins_by_direction():
+    import importlib.util
+    import random
+
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+
+    def side(ops, ms):
+        return {"metrics": {"ops_per_s": {"value": ops}, "op_ms_p50": {"value": ms}}}
+
+    pairs = [{"base": side(50.0, 20.0), "change": side(100.0, 10.0)},
+             {"base": side(50.0, 20.0), "change": side(75.0, 40.0)},
+             {"base": side(50.0, 20.0), "change": side(25.0, 10.0)}]
+    got = bench_ab.summarize(pairs, {"ops_per_s": "higher", "op_ms_p50": "lower"}, random.Random(0))
+    assert got["ops_per_s"]["ratios"] == [2.0, 1.5, 0.5]
+    assert got["ops_per_s"]["median_ratio"] == 1.5 and got["ops_per_s"]["change_wins"] == 2
+    assert got["op_ms_p50"]["ratios"] == [0.5, 2.0, 0.5] and got["op_ms_p50"]["change_wins"] == 2
+    lo, hi = got["ops_per_s"]["ci95"]
+    assert 0.5 <= lo <= 1.5 <= hi <= 2.0
+    assert got["ops_per_s"]["base_quartiles"] == [50.0, 50.0, 50.0]

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from rtkit.detector import detect
 from rtkit.errors import BadParams, SpecError
 from rtkit.kinematics import velocity_series
-from rtkit.pose import select_upper_body
+from rtkit.pose import select_upper_body, validate_stream, write_pose_stream
+from rtkit.spectral import cwt_gaus2, fft_magnitude
 from rtkit.stats import Method, Setting
 from rtkit.synth import (
+    AFFECTED_LANDMARKS,
     REFERENCE_SRT_CELLS,
     REFERENCE_VISION_CELLS,
     BurstSpec,
     NoiseSpec,
     SrtCell,
+    _base_pose,
+    _compensate_steps,
     gen_pose_stream,
     gen_srt_dataset,
     velocity_noise_mean,
@@ -41,6 +46,60 @@ def test_gen_pose_stream_static_without_bursts_or_noise():
     stream, truths = gen_pose_stream(5000, 30.0, [], [], NoiseSpec(0.0), seed=0)
     assert truths == []
     assert np.all(velocity_series(stream).v == 0.0)
+
+
+def _first_formulation_coords(duration_ms, fps, warning_times, bursts, sigma, seed):
+    """The generator's coordinates as first written: a tiled base pose, each
+    burst added to the wrist columns, then a zero row and the summed noise
+    steps concatenated and added to the whole array."""
+    n = int(round(duration_ms * fps / 1000.0))
+    rng = np.random.default_rng(seed)
+    t_ms = np.arange(n) * (1000.0 / fps)
+    coords = np.tile(_base_pose(), (n, 1, 1))
+    for w_t, spec in zip(warning_times, bursts):
+        center = w_t + spec.center_ms
+        dirs = rng.normal(size=(len(AFFECTED_LANDMARKS), 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        z = (t_ms - center) / (math.sqrt(2.0) * spec.burst_sigma_ms)
+        scale = spec.burst_amplitude / len(AFFECTED_LANDMARKS) * spec.burst_sigma_ms / 1000.0
+        profile = scale * math.sqrt(math.pi / 2.0) * (1.0 + erf(z))
+        walk = np.concatenate([[0.0], np.cumsum(_compensate_steps(np.diff(profile), sigma))])
+        for gi, lid in enumerate(AFFECTED_LANDMARKS):
+            coords[:, lid] += walk[:, None] * dirs[gi]
+    if sigma > 0:
+        steps = rng.normal(0.0, sigma, size=(n - 1, coords.shape[1], 3))
+        coords += np.concatenate([np.zeros((1, coords.shape[1], 3)), np.cumsum(steps, axis=0)], axis=0)
+    return coords
+
+
+@pytest.mark.parametrize(
+    "warning_times, sigma",
+    [([8000.0], 0.004), ([8000.0, 20000.0], 0.003), ([8000.0, 20000.0], 0.0)],
+    ids=["one-warning", "two-warnings", "sigma-0"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 123456])
+def test_gen_pose_stream_bitwise_equals_first_formulation(warning_times, sigma, seed):
+    bursts = [BurstSpec(300.0 + 50.0 * i, 50.0 + 5.0 * i, 2.0 + i) for i in range(len(warning_times))]
+    stream, _ = gen_pose_stream(30000, 30.0, warning_times, bursts, NoiseSpec(sigma), seed)
+    expected = _first_formulation_coords(30000, 30.0, warning_times, bursts, sigma, seed)
+    assert np.array_equal(stream.coords, expected)
+    assert np.array_equal(stream.visibility, np.ones((stream.n_frames, 33)))
+
+
+def test_read_only_stream_runs_through_every_reader(tmp_path):
+    # nothing in rtkit writes into a stream's arrays, so read-only views are safe
+    burst = BurstSpec(400.0, 54.75, 10.0 * velocity_noise_std(0.004, 33, 30.0))
+    stream, _ = gen_pose_stream(30000, 30.0, [8000.0], [burst], NoiseSpec(0.004), seed=3)
+    stream.coords.flags.writeable = False
+    assert not stream.visibility.flags.writeable
+    assert validate_stream(stream).ok
+    write_pose_stream(stream, tmp_path / "s.csv")
+    write_pose_stream(stream, tmp_path / "s.jsonl")
+    series = velocity_series(select_upper_body(stream))
+    (est,) = detect(stream, [8000.0], 438.0, (438.0, 154.0))
+    assert abs(est.rt_ms - 400.0) <= 2 * FRAME_MS
+    fft_magnitude(series)
+    cwt_gaus2(series, np.linspace(2.0, 30.0, 8))
 
 
 def test_clean_burst_velocity_pulse_shape():
