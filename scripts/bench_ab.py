@@ -1,27 +1,30 @@
 #!/usr/bin/env python3
-"""Interleaved A/B runs of the benchmark: a base revision against a change.
+"""Interleaved A/B runs of the benchmark: a base revision against the working tree.
 
     python scripts/bench_ab.py --base HEAD~1 --workloads detector_trials srt_study \\
-        --pairs 10 --seconds 10 --seed 1 --out BENCH.json
+        --pairs 10 --seconds 10 --out BENCH.json
 
 Each side is a fresh copy: the base is ``git archive <rev> | tar -x`` into a
-temporary directory, and so is the change when ``--change <rev>`` is given;
-without it the change is the working tree's files (tracked and untracked,
-less what .gitignore excludes). Each pair runs ``bench/run.py --workload W
---seed S --seconds T`` once per side, as a fresh process with that side's
-own benchmark, on the same seed; pair i uses seed ``--seed + i``, and the
-side that runs first alternates from pair to pair.
+temporary directory, the change is the working tree's files (tracked and
+untracked, less what .gitignore excludes). Each pair runs ``bench/run.py
+--workload W --seed S --seconds T`` once per side, as a fresh process with
+that side's own benchmark, on the same seed; pair i (from 0) uses seed
+1 + i, and the side that runs first alternates from pair to pair.
 
 For each end-to-end metric the output JSON holds the per-pair ratios
 change/base, their median with a bootstrap 95% interval, the number of pairs
 the change won (by the metric's direction in BENCHMARK.json), and each
-side's median and quartiles; also the machine, both revisions and the seeds.
-This is the interleaved design of Kalibera & Jones, "Rigorous benchmarking
-in reasonable time", ISMM 2013. Exits 1 when any run fails or reports a
-failed check.
+side's median and quartiles; each run's operations attempted and failed,
+with their totals per side; the machine, both revisions and the seeds. Each
+side is named by the sha256 of the code a run executes, the files under
+``src/`` and ``bench/`` (``code_digest``), so a record made from a working
+tree can be tied to the commit that holds the same code. This is the
+interleaved design of Kalibera & Jones, "Rigorous benchmarking in reasonable
+time", ISMM 2013. Exits 1 when any run fails or reports a failed check.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -35,10 +38,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BOOTSTRAP = 2000
+CODE = ("src", "bench")  # what bench/run.py executes
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def code_digest(tree: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of the files under CODE."""
+    h = hashlib.sha256()
+    files = sorted(f for top in CODE for f in (tree / top).rglob("*") if f.is_file())
+    for f in files:
+        data = f.read_bytes()
+        h.update(f"{f.relative_to(tree).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def extract(rev: str, dest: Path) -> dict:
@@ -49,7 +64,7 @@ def extract(rev: str, dest: Path) -> dict:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"error: git archive {rev} failed")
-    return {"rev": rev, "commit": git("rev-parse", rev + "^{commit}")}
+    return {"rev": rev, "commit": git("rev-parse", rev + "^{commit}"), "code_digest": code_digest(dest)}
 
 
 def copy_worktree(dest: Path) -> dict:
@@ -59,7 +74,8 @@ def copy_worktree(dest: Path) -> dict:
         if name and src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
-    return {"rev": "working tree", "commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+    return {"rev": "working tree", "head": git("rev-parse", "HEAD"),
+            "code_dirty": bool(git("status", "--porcelain", "--", *CODE)), "code_digest": code_digest(dest)}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -69,7 +85,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        return {"returncode": proc.returncode, "correct": False, "metrics": {}}
+        return {"returncode": proc.returncode, "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     result = json.loads(lines[-1])
     result["returncode"] = proc.returncode
     return result
@@ -127,11 +143,9 @@ def machine() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
-    ap.add_argument("--change", help="git revision of the change side (default: the working tree)")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
     ap.add_argument("--out", required=True, help="path of the JSON record")
     args = ap.parse_args()
     if args.pairs < 1 or not args.seconds > 0:
@@ -139,16 +153,13 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds = list(range(1, args.pairs + 1))
     record = {"machine": machine(), "pairs": args.pairs, "seconds": args.seconds, "seeds": seeds, "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         record["base"] = extract(args.base, trees["base"])
-        if args.change is None:
-            record["change"] = copy_worktree(trees["change"])
-        else:
-            record["change"] = extract(args.change, trees["change"])
+        record["change"] = copy_worktree(trees["change"])
         rng = random.Random(0)
         for workload in args.workloads:
             pairs = []
@@ -165,14 +176,20 @@ def main() -> int:
             record["workloads"][workload] = {
                 "runs": [
                     {"seed": p["seed"], "first": p["first"]}
-                    | {s: {k: m["value"] for k, m in p[s]["metrics"].items()} for s in ("base", "change")}
+                    | {s: {"attempted": p[s]["attempted"], "failed": p[s]["failed"]}
+                       | {k: m["value"] for k, m in p[s]["metrics"].items()} for s in ("base", "change")}
                     for p in pairs
                 ],
                 "correct": all(p[s]["correct"] for p in pairs for s in ("base", "change")),
+                "totals": {s: {k: sum(p[s][k] for p in pairs) for k in ("attempted", "failed")}
+                           for s in ("base", "change")},
                 "metrics": summarize(pairs, better, rng),
             }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for workload, res in record["workloads"].items():
+        t = res["totals"]
+        print(f"{workload:16s} failed/attempted base {t['base']['failed']}/{t['base']['attempted']}, "
+              f"change {t['change']['failed']}/{t['change']['attempted']}")
         for name, m in res["metrics"].items():
             lo, hi = m["ci95"]
             print(f"{workload:16s} {name:12s} median ratio {m['median_ratio']:.3f} [{lo:.3f}, {hi:.3f}] "

@@ -20,13 +20,19 @@ def test_snr_sweep_header_splits_into_column_names():
     assert len(rows) == 1 and len(rows[0].split()) == 7
 
 
-def test_bench_ab_summary_counts_wins_by_direction():
+def load_bench_ab():
     import importlib.util
-    import random
 
     spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
     bench_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_ab)
+    return bench_ab
+
+
+def test_bench_ab_summary_counts_wins_by_direction():
+    import random
+
+    bench_ab = load_bench_ab()
 
     def side(ops, ms):
         return {"metrics": {"ops_per_s": {"value": ops}, "op_ms_p50": {"value": ms}}}
@@ -41,3 +47,20 @@ def test_bench_ab_summary_counts_wins_by_direction():
     lo, hi = got["ops_per_s"]["ci95"]
     assert 0.5 <= lo <= 1.5 <= hi <= 2.0
     assert got["ops_per_s"]["base_quartiles"] == [50.0, 50.0, 50.0]
+
+
+def test_bench_ab_code_digest_covers_src_and_bench_only(tmp_path):
+    bench_ab = load_bench_ab()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for tree in (a, b):
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "bench").mkdir()
+        (tree / "src" / "pkg" / "m.py").write_text("x = 1\n")
+        (tree / "bench" / "run.py").write_text("pass\n")
+    (b / "README.md").write_text("notes\n")
+    assert bench_ab.code_digest(a) == bench_ab.code_digest(b)
+    (b / "src" / "pkg" / "m.py").write_text("x = 2\n")
+    assert bench_ab.code_digest(a) != bench_ab.code_digest(b)
+    (b / "src" / "pkg" / "m.py").write_text("x = 1\n")
+    (b / "bench" / "run.py").rename(b / "bench" / "main.py")
+    assert bench_ab.code_digest(a) != bench_ab.code_digest(b)
