@@ -14,7 +14,10 @@ that side's own benchmark, on the same seed; pair i (from 0) uses seed
 For each end-to-end metric the output JSON holds the per-pair ratios
 change/base, their median with a bootstrap 95% interval, the number of pairs
 the change won (by the metric's direction in BENCHMARK.json), and each
-side's median and quartiles; each run's operations attempted and failed,
+side's median and quartiles. The same summary is kept for ``import_s``, the
+seconds a run spent importing rtkit (the ``imports`` figure of the line
+bench/run.py prints before its JSON), so a move in ``setup_s`` splits into
+imports and set-ups. It also holds each run's operations attempted and failed,
 with their totals per side; the machine, both revisions and the seeds. Each
 side is named by the sha256 of the code a run executes, the files under
 ``src/`` and ``bench/`` (``code_digest``), so a record made from a working
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import random
+import re
 import shutil
 import statistics
 import subprocess
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BOOTSTRAP = 2000
 CODE = ("src", "bench")  # what bench/run.py executes
+IMPORTS = re.compile(r"\(imports ([0-9.]+) ")  # in the words line of an untraced bench/run.py
 
 
 def git(*args: str) -> str:
@@ -82,12 +87,21 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` process; its last stdout line is the result JSON."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         sys.stderr.write(proc.stderr)
         return {"returncode": proc.returncode, "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-    result = json.loads(lines[-1])
+    result = parse_stdout(proc.stdout)
     result["returncode"] = proc.returncode
+    return result
+
+
+def parse_stdout(stdout: str) -> dict:
+    """The result JSON on the last line, plus the line before's import time as metric ``import_s``."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    words = IMPORTS.search(lines[-2]) if len(lines) > 1 else None
+    if words:
+        result["metrics"]["import_s"] = {"value": float(words.group(1)), "unit": "s"}
     return result
 
 
@@ -152,7 +166,7 @@ def main() -> int:
         ap.error("--pairs and --seconds must be positive")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"import_s": "lower"}
     seeds = list(range(1, args.pairs + 1))
     record = {"machine": machine(), "pairs": args.pairs, "seconds": args.seconds, "seeds": seeds, "workloads": {}}
     ok = True

@@ -500,6 +500,8 @@ def main(argv: list[str] | None = None) -> int:
         error = exc
     except FileNotFoundError as exc:  # an input file that is not there, named as the pose reader names it
         error = ParseError(f"no such file: {exc.filename}")
+    except IsADirectoryError as exc:
+        error = ParseError(f"is a directory: {exc.filename}")
     print(f"error [{type(error).__name__}]: {error}", file=sys.stderr)
     return 1
 

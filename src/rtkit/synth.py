@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import BadParams, ParseError, SpecError
 from .pose import N_LANDMARKS, PoseStream
@@ -105,13 +104,20 @@ def velocity_noise_mean(noise_sigma: float, n_landmarks: int, fps: float) -> flo
     return n_landmarks * noise_sigma * _NORM_MEAN * fps
 
 
+def _erf(z: np.ndarray) -> np.ndarray:
+    """scipy's erf ufunc, imported here so that only burst synthesis loads scipy."""
+    from scipy.special import erf
+
+    return erf(z)
+
+
 def _noncentral_norm_mean(u: np.ndarray, s: float) -> np.ndarray:
     """E||N(u*e, s^2*I_3)||."""
     u = np.asarray(u, dtype=float)
     safe = np.maximum(u, 1e-300)
     return s * math.sqrt(2.0 / math.pi) * np.exp(-(u**2) / (2 * s**2)) + (
         safe + s**2 / safe
-    ) * erf(safe / (math.sqrt(2.0) * s))
+    ) * _erf(safe / (math.sqrt(2.0) * s))
 
 
 def _compensate_steps(steps: np.ndarray, step_sigma: float) -> np.ndarray:
@@ -185,7 +191,7 @@ def gen_pose_stream(
         # Gaussian speed (amplitude split evenly across the group)
         sigma_s = spec.burst_sigma_ms / 1000.0
         z = (t_ms - center) / (math.sqrt(2.0) * spec.burst_sigma_ms)
-        profile = (spec.burst_amplitude / len(group)) * sigma_s * math.sqrt(math.pi / 2.0) * (1.0 + erf(z))
+        profile = (spec.burst_amplitude / len(group)) * sigma_s * math.sqrt(math.pi / 2.0) * (1.0 + _erf(z))
         steps = _compensate_steps(np.diff(profile), noise.sigma)
         walk = np.concatenate([[0.0], np.cumsum(steps)])
         for gi in range(len(group)):

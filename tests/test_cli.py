@@ -635,3 +635,23 @@ def test_missing_input_file_is_parse_error(tmp_path, capsys, argv, missing):
     argv = [a.format(d=tmp_path) for a in argv] + ["--out", tmp_path / "o"]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"error [ParseError]: no such file: {tmp_path / missing}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--records", "{d}/adir"],
+        ["srt", "--log", "{d}/adir"],
+        ["spectral", "--input", "{d}/adir"],
+        ["ingest", "--input", "{d}/adir"],
+        ["detect", "--input", "{d}/P1.csv", "--baselines", "{d}/adir", "--warnings", "25000"],
+        ["synth", "srt", "--seed", "1", "--cells", "{d}/adir"],
+    ],
+    ids=["stats-records", "srt-log", "spectral-input", "ingest-input", "detect-baselines", "synth-srt-cells"],
+)
+def test_directory_as_input_file_is_parse_error(tmp_path, capsys, argv):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "P1.csv").write_text("frame,id,x,y\n")
+    argv = [a.format(d=tmp_path) for a in argv] + ["--out", tmp_path / "o"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error [ParseError]: is a directory: {tmp_path / 'adir'}\n"

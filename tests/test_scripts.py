@@ -64,3 +64,27 @@ def test_bench_ab_code_digest_covers_src_and_bench_only(tmp_path):
     (b / "src" / "pkg" / "m.py").write_text("x = 1\n")
     (b / "bench" / "run.py").rename(b / "bench" / "main.py")
     assert bench_ab.code_digest(a) != bench_ab.code_digest(b)
+
+
+def test_bench_ab_reads_import_time_from_the_words_line():
+    import random
+
+    bench_ab = load_bench_ab()
+
+    def stdout(import_s, setup_s):
+        return (
+            f"srt_study seed 1: 40 op(s) in 40 round(s); op_ms_p50 212.500 ms over 40 samples; "
+            f"ops_per_s 4.6512; setup_s {setup_s:.4f} (imports {import_s:.4f} + median of 3 set-ups "
+            f"0.0101, 0.0098, 0.0100)\n"
+            f'{{"correct": true, "attempted": 40, "failed": 0, "metrics": '
+            f'{{"setup_s": {{"value": {setup_s}, "unit": "s"}}}}}}\n'
+        )
+
+    base, change = bench_ab.parse_stdout(stdout(0.5, 0.51)), bench_ab.parse_stdout(stdout(0.2, 0.21))
+    assert base["metrics"]["import_s"] == {"value": 0.5, "unit": "s"}
+    assert base["metrics"]["setup_s"]["value"] == 0.51 and base["attempted"] == 40
+    got = bench_ab.summarize([{"base": base, "change": change}], {"import_s": "lower"}, random.Random(0))
+    assert got["import_s"]["ratios"] == [0.4] and got["import_s"]["change_wins"] == 1
+    # a traced run prints no import figure
+    traced = bench_ab.parse_stdout('srt_study seed 1: traced 4 op(s), 90 spans -> x\n{"correct": true, "metrics": {}}\n')
+    assert traced["metrics"] == {}
