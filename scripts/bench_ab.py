@@ -14,7 +14,11 @@ that side's own benchmark, on the same seed; pair i (from 0) uses seed
 For each end-to-end metric the output JSON holds the per-pair ratios
 change/base, their median with a bootstrap 95% interval, the number of pairs
 the change won (by the metric's direction in BENCHMARK.json), and each
-side's median and quartiles. The same summary is kept for ``import_s``, the
+side's median and quartiles, with two verdicts: ``gain_resolved`` (over
+at least 10 pairs, the change won at least 9/10 of them and the medians
+differ, its way, by more than the base's interquartile range) and ``regressed`` (the change's
+median is worse than the base's by more than the metric's ``bound`` in
+BENCHMARK.json, a fraction of the base median). The same summary is kept for ``import_s``, the
 seconds a run spent importing rtkit (the ``imports`` figure of the line
 bench/run.py prints before its JSON), so a move in ``setup_s`` splits into
 imports and set-ups. It also holds each run's operations attempted and failed,
@@ -42,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BOOTSTRAP = 2000
+MIN_PAIRS = 10  # fewer pairs resolve no gain: with one, the base's interquartile range is 0
 CODE = ("src", "bench")  # what bench/run.py executes
 IMPORTS = re.compile(r"\(imports ([0-9.]+) ")  # in the words line of an untraced bench/run.py
 
@@ -118,7 +123,22 @@ def bootstrap_median_ci(ratios: list[float], rng: random.Random) -> list[float]:
     return [medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]]
 
 
-def summarize(pairs: list[dict], better: dict[str, str], rng: random.Random) -> dict:
+def verdict(summary: dict, bound: float | None) -> dict:
+    """``gain_resolved``: over at least MIN_PAIRS pairs, the change won at least 9/10 of them and its median beats
+    the base median by more than the base's interquartile range; ``regressed``: its median is worse than the base
+    median by more than ``bound`` (a fraction of the base median; None when the metric has no bound)."""
+    (q1, base, q3), change = summary["base_quartiles"], summary["change_quartiles"][1]
+    gain = change - base if summary["better"] == "higher" else base - change
+    return {
+        "gain_resolved": summary["pairs"] >= MIN_PAIRS and 10 * summary["change_wins"] >= 9 * summary["pairs"]
+        and gain > q3 - q1,
+        "regressed": None if bound is None else -gain > bound * abs(base),
+    }
+
+
+def summarize(
+    pairs: list[dict], better: dict[str, str], rng: random.Random, bounds: dict[str, float] | None = None
+) -> dict:
     out = {}
     for name, direction in better.items():
         got = [(p["base"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"]) for p in pairs
@@ -138,6 +158,7 @@ def summarize(pairs: list[dict], better: dict[str, str], rng: random.Random) -> 
             "base_quartiles": quartiles(base),
             "change_quartiles": quartiles(change),
         }
+        out[name] |= verdict(out[name], (bounds or {}).get(name))
     return out
 
 
@@ -167,6 +188,7 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"import_s": "lower"}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seeds = list(range(1, args.pairs + 1))
     record = {"machine": machine(), "pairs": args.pairs, "seconds": args.seconds, "seeds": seeds, "workloads": {}}
     ok = True
@@ -197,7 +219,7 @@ def main() -> int:
                 "correct": all(p[s]["correct"] for p in pairs for s in ("base", "change")),
                 "totals": {s: {k: sum(p[s][k] for p in pairs) for k in ("attempted", "failed")}
                            for s in ("base", "change")},
-                "metrics": summarize(pairs, better, rng),
+                "metrics": summarize(pairs, better, rng, bounds),
             }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for workload, res in record["workloads"].items():
@@ -206,8 +228,9 @@ def main() -> int:
               f"change {t['change']['failed']}/{t['change']['attempted']}")
         for name, m in res["metrics"].items():
             lo, hi = m["ci95"]
+            flags = [word for word, on in (("gain resolved", m["gain_resolved"]), ("REGRESSED", m["regressed"])) if on]
             print(f"{workload:16s} {name:12s} median ratio {m['median_ratio']:.3f} [{lo:.3f}, {hi:.3f}] "
-                  f"change won {m['change_wins']}/{m['pairs']}")
+                  f"change won {m['change_wins']}/{m['pairs']}" + "".join(f"; {f}" for f in flags))
     if not ok:
         print("error: a benchmark run failed or reported a failed check", file=sys.stderr)
     return 0 if ok else 1

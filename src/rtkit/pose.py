@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import warnings
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -178,30 +180,74 @@ def _reject(bad: np.ndarray, message) -> None:
 
 # Both readers return: frame numbers, timestamps (None when absent), first
 # row and first line of each frame, rows of id/x/y/z/visibility, has_z.
+# Neither keeps a Python object per line or row: the CSV body goes from the
+# open file into one structured array, the JSONL values into one float
+# buffer. Only a CSV with blank lines or a bad row is read as a list of
+# lines, to number them as the file does.
 
 
 def _read_csv(path: Path):
+    n_lines = _count_lines(path)
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
+        names, usecols = _csv_columns(path, fh.readline())
+        table = None
+        if n_lines > 1:
+            try:
+                with warnings.catch_warnings():
+                    # a body of empty lines only: the line-list read below raises EmptyStream
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = _loadtxt(fh, names, usecols)
+            except ValueError:
+                pass
+    if table is None or len(table) != n_lines - 1:
+        # skipped lines, a bad row or a quoted line end: the line-list read names the lines
+        return _read_csv_lines(path, names, usecols)
+    # each body line holds one row: row r sits on line r + 2
+    return _csv_arrays(table, names, lambda r: r + 2)
+
+
+def _count_lines(path: Path) -> int:
+    """Lines in ``path`` as text mode reads them: ends are ``\\n``, ``\\r\\n`` or a lone ``\\r``."""
+    n, last = 0, None
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            byte = np.frombuffer(chunk, np.uint8)
+            lf, cr = byte == 10, byte == 13
+            n += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+            n -= last == 13 and lf[0]  # a \r\n split between chunks
+            last = byte[-1]
+    return int(n) + (last not in (None, 10, 13))  # a last line without a line end
+
+
+def _csv_columns(path: Path, header_line: str) -> tuple[list[str], list[int]]:
+    """The parsed column names, in row order, and their indices in ``header_line``."""
+    if not header_line:
         raise EmptyStream(f"{path}: no frames")
-    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    header = [h.strip() for h in next(csv.reader([header_line]))]
     for name in _CSV_REQUIRED:
         if name not in header:
             raise ParseError(f"missing column {name!r} in header", line=1)
     names = [name for name in _CSV_TYPES if name in header]
-    usecols = [header.index(name) for name in names]
-    kept = [i for i in range(1, len(lines)) if lines[i].strip(_BLANK)]
-    if not kept:
-        raise EmptyStream(f"{path}: no frames")
+    return names, [header.index(name) for name in names]
+
+
+def _loadtxt(lines, names: list[str], usecols: list[int]) -> np.ndarray:
     dtype = [(name, _CSV_TYPES[name]) for name in names]
+    return np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=1)
+
+
+def _read_csv_lines(path: Path, names: list[str], usecols: list[int]):
+    """The CSV body as a list of lines, less the blank ones; a bad row is named by its line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    kept = np.array([i for i in range(1, len(lines)) if lines[i].strip(_BLANK)], dtype=np.int64)
+    if not kept.size:
+        raise EmptyStream(f"{path}: no frames")
     try:
-        table = np.loadtxt(
-            [lines[i] for i in kept], dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=1
-        )
+        table = _loadtxt([lines[i] for i in kept], names, usecols)
     except ValueError as exc:
         # the bulk read failed: find the first line int()/float() reject to name it
-        for i in kept:
+        for i in kept.tolist():
             raw = next(csv.reader(lines[i : i + 1]))
             try:
                 for name, j in zip(names, usecols):
@@ -209,13 +255,19 @@ def _read_csv(path: Path):
             except (ValueError, IndexError) as bad:
                 raise ParseError(f"bad row: {bad}", line=i + 1) from bad
         raise ParseError(f"bad row: {exc}") from exc
+    return _csv_arrays(table, names, lambda r: kept[r] + 1)
 
+
+def _csv_arrays(table: np.ndarray, names: list[str], line):
+    """The reader's arrays from the parsed CSV ``table``; ``line(r)`` is the line of row r (r may be an array)."""
     frame = table["frame"]
     starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
-    frame_line = np.asarray(kept)[starts] + 1
-    z = table["z"] if "z" in names else np.zeros(len(table))
-    vis = table["visibility"] if "visibility" in names else np.ones(len(table))
-    rows = np.column_stack([table["id"], table["x"], table["y"], z, vis])
+    rows = np.empty((len(table), 5))
+    rows[:, 0] = table["id"]
+    rows[:, 1] = table["x"]
+    rows[:, 2] = table["y"]
+    rows[:, 3] = table["z"] if "z" in names else 0.0
+    rows[:, 4] = table["visibility"] if "visibility" in names else 1.0
     ts = None
     if "timestamp_ms" in names:
         row_ts = table["timestamp_ms"]
@@ -223,14 +275,14 @@ def _read_csv(path: Path):
         first = np.repeat(ts, np.diff(starts, append=len(table)))
         _reject(
             (row_ts != first) & ~(np.isnan(row_ts) & np.isnan(first)),
-            lambda r: f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {kept[r] + 1}"
+            lambda r: f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {line(r)}"
             f" differs from the frame's first row ({float(first[r])!r})",
         )
-    return frame[starts], ts, starts, frame_line, rows, "z" in names
+    return frame[starts], ts, starts, line(starts), rows, "z" in names
 
 
 def _read_jsonl(path: Path):
-    frame_no, ts, starts, frame_lines, rows = [], [], [], [], []
+    frame_no, ts, starts, frame_lines, values = array("d"), array("d"), array("q"), array("q"), array("d")
     has_z = True
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -243,23 +295,30 @@ def _read_jsonl(path: Path):
                 raise ParseError(f"bad JSON: {exc.msg}", line=line_no) from exc
             try:
                 frame_no.append(float(obj["frame"]))
-                ts.append(float(obj["timestamp_ms"]) if "timestamp_ms" in obj else None)
+                if "timestamp_ms" in obj:
+                    ts.append(float(obj["timestamp_ms"]))
                 landmarks = obj["landmarks"]
                 has_z = has_z and all("z" in lm for lm in landmarks)
-                starts.append(len(rows))
-                rows.extend(
-                    (float(lm["id"]), float(lm["x"]), float(lm["y"]), float(lm.get("z", 0.0)), float(lm.get("v", 1.0)))
-                    for lm in landmarks
+                starts.append(len(values) // 5)
+                values.fromlist(
+                    [
+                        value
+                        for lm in landmarks
+                        for value in (float(lm["id"]), float(lm["x"]), float(lm["y"]),
+                                      float(lm.get("z", 0.0)), float(lm.get("v", 1.0)))
+                    ]
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad frame object: {exc}", line=line_no) from exc
             frame_lines.append(line_no)
     if not frame_no:
         raise EmptyStream(f"{path}: no frames")
-    ts = None if None in ts else np.array(ts)
-    starts, rows = np.array(starts), np.array(rows, dtype=float).reshape(-1, 5)
+    # a timestamp is kept only when every frame has one
+    ts = np.frombuffer(ts) if len(ts) == len(frame_no) else None
+    starts, frame_lines = np.frombuffer(starts, np.int64), np.frombuffer(frame_lines, np.int64)
+    rows = np.frombuffer(values).reshape(-1, 5)
     # JSON numbers were read as floats: a frame or id with a fraction is rejected, not truncated
-    frame_no = _integers(np.array(frame_no), "frame", lambda k: frame_lines[k])
+    frame_no = _integers(np.frombuffer(frame_no), "frame", lambda k: frame_lines[k])
     _integers(rows[:, 0], "landmark id", lambda r: frame_lines[np.searchsorted(starts, r, "right") - 1])
     return frame_no, ts, starts, frame_lines, rows, has_z
 
@@ -269,7 +328,7 @@ def _integers(values: np.ndarray, what: str, line) -> np.ndarray:
     hits = np.flatnonzero(~(np.isfinite(values) & (values == np.floor(values))))
     if hits.size:
         k = int(hits[0])
-        raise ParseError(f"{what} {float(values[k])!r} is not an integer", line=line(k))
+        raise ParseError(f"{what} {float(values[k])!r} is not an integer", line=int(line(k)))
     return values.astype(np.int64)
 
 
@@ -278,47 +337,62 @@ def write_pose_stream(stream: PoseStream, path: str | Path, format: str | None =
 
     Floats are written as ``repr`` (CSV, with ``\\r\\n`` line ends) or as
     ``json.dumps`` spells them (JSONL), so every value reads back unchanged.
+    A stream without z (``has_z`` false) is written without the z column
+    or key. Frames are formatted _WRITE_BLOCK at a time: each block's
+    floats are spelled by one ``repr``/``json.dumps`` of a list.
     """
     path = Path(path)
     format = _format(path, format)
-    block = _csv_block if format == "csv" else _jsonl_block
+    L = stream.n_landmarks
+    axes = "xyz" if stream.has_z else "xy"
     with open(path, "w", newline="" if format == "csv" else None, encoding="utf-8") as fh:
         if format == "csv":
-            fh.write(",".join(_CSV_TYPES) + "\r\n")
+            fh.write(",".join(name for name in _CSV_TYPES if name != "z" or stream.has_z) + "\r\n")
+            # one frame's rows: its "frame,timestamp_ms," head, the id, then x, y[, z] and visibility
+            template = "".join(f"%s{j}" + ",%s" * (len(axes) + 1) + "\r\n" for j in range(L))
+        else:
+            landmark = '{"id": %d' + "".join(f', "{a}": %%s' for a in axes) + ', "v": %%s}'
+            template = '{"frame": %%d, "timestamp_ms": %%s, "landmarks": [%s]}\n' % ", ".join(
+                landmark % j for j in range(L)
+            )
+        block = _csv_block if format == "csv" else _jsonl_block
         for lo in range(0, stream.n_frames, _WRITE_BLOCK):
-            fh.write(block(stream, slice(lo, lo + _WRITE_BLOCK)))
+            fh.write(block(stream, slice(lo, lo + _WRITE_BLOCK), template))
 
 
-def _csv_block(stream: PoseStream, frames: slice) -> str:
-    frame_index = stream.frame_index[frames]
-    L = stream.n_landmarks
-    columns = (
-        np.repeat(frame_index, L),
-        np.repeat(np.asarray(stream.timestamps_ms[frames], dtype=float), L),
-        np.tile(np.arange(L), len(frame_index)),
-        *np.asarray(stream.coords[frames], dtype=float).reshape(-1, 3).T,
-        np.asarray(stream.visibility[frames], dtype=float).ravel(),
-    )
-    return "".join("%d,%r,%d,%r,%r,%r,%r\r\n" % row for row in zip(*(c.tolist() for c in columns)))
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """Each value spelled as json.dumps spells a float (NaN and Infinity included)."""
-    return json.dumps(np.asarray(values, dtype=float).ravel().tolist())[1:-1].split(", ")
-
-
-def _jsonl_block(stream: PoseStream, frames: slice) -> str:
+def _block_values(stream: PoseStream, frames: slice, lead: int = 0) -> np.ndarray:
+    """One row of floats per frame: ``lead`` free columns, then each landmark's x, y[, z] and visibility."""
+    d = 3 if stream.has_z else 2
     coords = stream.coords[frames]
-    ts, x, y, z, v = map(
-        _json_floats,
-        (stream.timestamps_ms[frames], coords[:, :, 0], coords[:, :, 1], coords[:, :, 2], stream.visibility[frames]),
-    )
+    n, L = coords.shape[:2]
+    values = np.empty((n, lead + L * (d + 1)))
+    landmarks = values[:, lead:].reshape(n, L, d + 1)
+    landmarks[:, :, :d] = coords[:, :, :d]
+    landmarks[:, :, d] = stream.visibility[frames]
+    return values
+
+
+def _csv_block(stream: PoseStream, frames: slice, template: str) -> str:
+    values = _block_values(stream, frames)
+    cells = repr(values.ravel().tolist())[1:-1].split(", ")
+    ts = np.asarray(stream.timestamps_ms[frames], dtype=float)
+    heads = ["%d,%r," % ft for ft in zip(stream.frame_index[frames].tolist(), ts.tolist())]
     L = stream.n_landmarks
-    ids = list(range(L)) * len(ts)
-    landmarks = ['{"id": %d, "x": %s, "y": %s, "z": %s, "v": %s}' % lm for lm in zip(ids, x, y, z, v)]
+    k = values.shape[1] // L  # cells per row
+    args = [None] * (len(cells) + len(heads) * L)
+    args[:: k + 1] = [head for head in heads for _ in range(L)]
+    for c in range(k):
+        args[c + 1 :: k + 1] = cells[c::k]
+    return (template * len(heads)) % tuple(args)
+
+
+def _jsonl_block(stream: PoseStream, frames: slice, template: str) -> str:
+    values = _block_values(stream, frames, lead=1)
+    values[:, 0] = stream.timestamps_ms[frames]
+    spelled = json.dumps(values.ravel().tolist())[1:-1].split(", ")
+    w = values.shape[1]
     return "".join(
-        '{"frame": %d, "timestamp_ms": %s, "landmarks": [%s]}\n' % (f, t, ", ".join(landmarks[i * L : (i + 1) * L]))
-        for i, (f, t) in enumerate(zip(stream.frame_index[frames].tolist(), ts))
+        template % (f, *spelled[i * w : (i + 1) * w]) for i, f in enumerate(stream.frame_index[frames].tolist())
     )
 
 

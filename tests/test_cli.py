@@ -159,6 +159,27 @@ def test_ingest_reports_findings(tmp_path):
     assert (out / "V1_canonical.jsonl").exists()
 
 
+def test_canonical_copy_of_an_xy_stream_detects_the_same(tmp_path):
+    pose_dir = tmp_path / "pose"
+    run_cli("synth", "pose", "--seed", 8, "--out", pose_dir, "--source-id", "XY1",
+            "--warnings", "25000", "--amplitude", "4.0")
+    # drop the z column: an x/y recording
+    xy = pose_dir / "XY1.csv"
+    xy.write_text("".join(",".join(row.split(",")[:5] + row.split(",")[6:]) for row in xy.read_text().splitlines(True)))
+    ingest = tmp_path / "ingest"
+    assert run_cli("ingest", "--input", xy, "--out", ingest, "--canonical") == 0
+    assert json.loads((ingest / "XY1_validation.json").read_text())["has_z"] is False
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nXY1,438\nXY1_canonical,438\n")
+    estimates = []
+    for path in (xy, ingest / "XY1_canonical.jsonl"):
+        det = tmp_path / path.stem
+        assert run_cli("detect", "--input", path, "--baselines", baselines, "--warnings", "25000", "--out", det) == 0
+        estimates.append(json.loads((det / f"{path.stem}_detection.json").read_text())["estimates"][0])
+    assert estimates[0]["dims"] == estimates[1]["dims"] == "xy"
+    assert estimates[0]["rt_ms"] == estimates[1]["rt_ms"]
+
+
 def test_srt_command(tmp_path):
     log = tmp_path / "log.txt"
     log.write_text(

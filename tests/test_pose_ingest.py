@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -62,11 +64,11 @@ def test_parse_bad_row_reports_line(tmp_path):
 
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
-    for body in ("", "\n  \n,,,\n"):
-        path.write_text("frame,timestamp_ms,id,x,y,z,visibility\n" + body)
+    for body in ("", "\n", "\n  \n,,,\n", "\r\n\r\n", "\r\r", "\n \r\n,,,\r\t"):
+        path.write_bytes(("frame,timestamp_ms,id,x,y,z,visibility" + body).encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EmptyStream):
+            with pytest.raises(EmptyStream, match="no frames"):
                 parse_pose_stream(path)
 
 
@@ -129,6 +131,60 @@ def test_parse_error_line_counts_blank_lines(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 38"):
         parse_pose_stream(path)
+    # one blank line of each kind before the bad row, with each line end
+    for end in ("\n", "\r\n", "\r"):
+        for blank in ("", "   ", ",,,,,,"):
+            path.write_bytes(end.join(lines[:1] + rows + [blank, lines[-1]]).encode())
+            with pytest.raises(ParseError) as info:
+                parse_pose_stream(path)
+            assert type(info.value) is ParseError and info.value.line == 36
+            assert str(info.value) == "line 36: bad row: invalid literal for int() with base 10: 'zero'"
+
+
+def edge_case_body(frames):
+    """CSV rows of ``frames`` frames with known values: x = frame + id/100, y = -id, z = 0.5, visibility = 0.25."""
+    return [f"{i},{i * 33.25!r},{j},{i + j / 100!r},{-j},0.5,0.25" for i in range(frames) for j in range(33)]
+
+
+def edge_case_arrays(frames):
+    ids = np.arange(33)
+    x = np.arange(frames)[:, None] + ids / 100
+    return np.arange(frames) * 33.25, np.stack([x, np.broadcast_to(-ids, x.shape), np.full(x.shape, 0.5)], axis=2)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("trailing", [True, False])
+@pytest.mark.parametrize("blank", [None, "", "   ", ",,,,,,", " \t, ,"])
+def test_parse_csv_line_ends_and_blank_lines(tmp_path, end, trailing, blank):
+    # blank lines before, inside and after the body; every line end style; with and without a final line end
+    body = edge_case_body(3)
+    lines = ["frame,timestamp_ms,id,x,y,z,visibility", *body]
+    if blank is not None:
+        lines = lines[:1] + [blank] + lines[1:40] + [blank, blank] + lines[40:] + [blank]
+    path = tmp_path / "edge.csv"
+    path.write_bytes((end.join(lines) + (end if trailing else "")).encode())
+    stream = parse_pose_stream(path)
+    ts, coords = edge_case_arrays(3)
+    assert stream.frame_index.tolist() == [0, 1, 2]
+    assert np.array_equal(stream.timestamps_ms, ts)
+    assert np.array_equal(stream.coords, coords)
+    assert np.array_equal(stream.visibility, np.full((3, 33), 0.25))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("blank", [None, ""])
+def test_parse_csv_names_the_line_of_a_frame(tmp_path, end, blank):
+    # frame 1 has 32 landmarks; with a blank line in front of it, it starts one line later
+    body = edge_case_body(2)
+    del body[40]
+    lines = ["frame,timestamp_ms,id,x,y,z,visibility", *body[:33], *([] if blank is None else [blank]), *body[33:]]
+    path = tmp_path / "short.csv"
+    path.write_bytes(end.join(lines).encode())
+    line = 35 if blank is None else 36
+    with pytest.raises(SchemaError) as info:
+        parse_pose_stream(path)
+    assert type(info.value) is SchemaError
+    assert str(info.value) == f"frame 1: expected 33 landmarks, got 32 (frame starts on line {line})"
 
 
 @pytest.mark.parametrize("bad_row", ["1.5,33.25,0,0.1,0.2,0.0,1.0", "1,33.25,0,0.1"])
@@ -315,6 +371,97 @@ def test_roundtrip_non_finite_values(tmp_path, fmt):
     write_pose_stream(stream, path, format=fmt)
     back = parse_pose_stream(path, format=fmt)
     assert np.array_equal(back.coords, stream.coords, equal_nan=True)
+
+
+def reference_csv(stream):
+    """The CSV writer's output, one ``%`` per landmark row."""
+    axes = 3 if stream.has_z else 2
+    names = ["frame", "timestamp_ms", "id", "x", "y", "z", "visibility"]
+    out = [",".join(names if stream.has_z else names[:5] + names[6:]) + "\r\n"]
+    row = "%d,%r,%d" + ",%r" * (axes + 1) + "\r\n"
+    coords, visibility = stream.coords.astype(float).tolist(), stream.visibility.astype(float).tolist()
+    for f, t, frame_xyz, frame_v in zip(stream.frame_index.tolist(), stream.timestamps_ms.tolist(), coords, visibility):
+        for j, (xyz, v) in enumerate(zip(frame_xyz, frame_v)):
+            out.append(row % (f, t, j, *xyz[:axes], v))
+    return "".join(out).encode()
+
+
+def reference_jsonl(stream):
+    """The JSONL writer's output, one ``json.dumps`` per frame object."""
+    axes = "xyz" if stream.has_z else "xy"
+    coords, visibility = stream.coords.astype(float).tolist(), stream.visibility.astype(float).tolist()
+    out = []
+    for f, t, frame_xyz, frame_v in zip(stream.frame_index.tolist(), stream.timestamps_ms.tolist(), coords, visibility):
+        landmarks = [{"id": j, **dict(zip(axes, xyz)), "v": v} for j, (xyz, v) in enumerate(zip(frame_xyz, frame_v))]
+        out.append(json.dumps({"frame": f, "timestamp_ms": t, "landmarks": landmarks}) + "\n")
+    return "".join(out).encode()
+
+
+def odd_value_streams():
+    """Streams whose spelling the writers must get right, each 300 frames (a last block of 44)."""
+    rng = np.random.default_rng(4)
+    coords = rng.normal(size=(300, 33, 3)) * 10.0 ** rng.integers(-12, 12, size=(300, 33, 3))
+    coords[5, :4] = [[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-310], [1e300, -1e-5, 0.1], [123456789.0, 2.0**60, -3.0]]
+    ts = np.arange(300) * (1000.0 / 30.0)
+    ts[7] = -0.0
+    ts[8:] += 1e9
+    visibility = rng.uniform(size=(300, 33))
+    visibility[9, :3] = (np.nan, -np.inf, -0.0)
+    base = make_stream(coords, timestamps=ts, visibility=visibility)
+    yield "odd floats", base
+    yield "broadcast visibility", dataclasses.replace(base, visibility=np.broadcast_to(np.float32(0.75), (300, 33)))
+    yield "integer coords", dataclasses.replace(base, coords=rng.integers(-(2**40), 2**40, size=(300, 33, 3)))
+    yield "upper body view", select_upper_body(base)
+    yield "no z", dataclasses.replace(base, coords=np.where(np.arange(3) == 2, 0.0, coords), has_z=False)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_writer_matches_per_row_reference(tmp_path, fmt):
+    reference = reference_csv if fmt == "csv" else reference_jsonl
+    for name, stream in odd_value_streams():
+        path = tmp_path / f"{name}.{fmt}"
+        write_pose_stream(stream, path)
+        assert path.read_bytes() == reference(stream), name
+        for n in (1, 256, 257):
+            head = dataclasses.replace(
+                stream,
+                frame_index=stream.frame_index[:n],
+                timestamps_ms=stream.timestamps_ms[:n],
+                coords=stream.coords[:n],
+                visibility=stream.visibility[:n],
+            )
+            write_pose_stream(head, path)
+            assert path.read_bytes() == reference(head), (name, n)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_two_dimensional_stream_roundtrips(tmp_path, fmt):
+    coords = np.random.default_rng(6).normal(size=(4, 33, 3))
+    coords[:, :, 2] = 0.0
+    stream = dataclasses.replace(make_stream(coords), has_z=False)
+    path = tmp_path / f"test.{fmt}"
+    write_pose_stream(stream, path)
+    assert '"z"' not in path.read_text() and ",z," not in path.read_text()
+    back = parse_pose_stream(path)
+    assert not back.has_z
+    assert back == stream
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_parse_memory_is_bounded_by_the_arrays(tmp_path, fmt):
+    # a 60 s, 30 fps file: the parser's peak allocation stays within 4x the arrays it returns
+    stream, _ = gen_pose_stream(60000, 30.0, [], [], NoiseSpec(0.004), seed=11, source_id="s60")
+    path = tmp_path / f"s60.{fmt}"
+    write_pose_stream(stream, path)
+    tracemalloc.start()
+    try:
+        back = parse_pose_stream(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == stream
+    nbytes = sum(a.nbytes for a in (back.frame_index, back.timestamps_ms, back.coords, back.visibility))
+    assert peak <= 4 * nbytes, f"peak {peak / 1e6:.2f} MB for {nbytes / 1e6:.2f} MB of arrays"
 
 
 def test_select_upper_body_keeps_25():

@@ -49,6 +49,40 @@ def test_bench_ab_summary_counts_wins_by_direction():
     assert got["ops_per_s"]["base_quartiles"] == [50.0, 50.0, 50.0]
 
 
+def test_bench_ab_verdicts_on_canned_pairs():
+    import random
+
+    bench_ab = load_bench_ab()
+
+    def pairs(base, change):
+        return [{"base": {"metrics": {"m": {"value": b}}}, "change": {"metrics": {"m": {"value": c}}}}
+                for b, c in zip(base, change)]
+
+    def verdict(base, change, better, bound=0.1):
+        got = bench_ab.summarize(pairs(base, change), {"m": better}, random.Random(0), {"m": bound})["m"]
+        return got["gain_resolved"], got["regressed"]
+
+    base = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]  # quartiles 99.125, 100, 100.875
+    # 10/10 wins, median 94: a resolved gain for "lower"; for "higher" the same runs are 6% worse, within 10%
+    assert verdict(base, [b - 6.0 for b in base], "lower") == (True, False)
+    assert verdict(base, [b - 6.0 for b in base], "higher") == (False, False)
+    # 9/10 wins still resolve; 8/10 do not
+    nine = [b - 6.0 for b in base[:9]] + [base[9] + 1.0]
+    assert verdict(base, nine, "lower") == (True, False)
+    assert verdict(base, nine[:8] + [base[8] + 1.0, base[9] + 1.0], "lower") == (False, False)
+    # every pair won, but the medians differ by 0.5, less than the base's IQR of 1.75
+    assert verdict(base, [b - 0.5 for b in base], "lower") == (False, False)
+    # worse by 12% of the base median: past a 10% bound, not past a 25% one
+    assert verdict(base, [b * 1.12 for b in base], "lower") == (False, True)
+    assert verdict(base, [b * 1.12 for b in base], "lower", bound=0.25) == (False, False)
+    assert verdict(base, [b * 0.88 for b in base], "higher") == (False, True)
+    # fewer than 10 pairs resolve no gain, however one-sided
+    assert verdict(base[:9], [b - 6.0 for b in base[:9]], "lower") == (False, False)
+    # a metric without a bound (import_s) gets no regression verdict
+    got = bench_ab.summarize(pairs(base, base), {"m": "lower"}, random.Random(0))["m"]
+    assert got["gain_resolved"] is False and got["regressed"] is None
+
+
 def test_bench_ab_code_digest_covers_src_and_bench_only(tmp_path):
     bench_ab = load_bench_ab()
     a, b = tmp_path / "a", tmp_path / "b"
