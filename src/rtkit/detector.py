@@ -128,33 +128,22 @@ class ConvolutionSeries:
         return len(self.values)
 
 
-def convolve(series: VelocitySeries, kernel: GaussianKernel, method: str = "fft") -> ConvolutionSeries:
-    """Discrete convolution of the series with the kernel.
+def convolve(series: VelocitySeries, kernel: GaussianKernel) -> ConvolutionSeries:
+    """Direct (multiply-accumulate) convolution of the series with the kernel.
 
-    ``method`` is "direct" (multiply-accumulate) or "fft"; both produce the
-    same alignment and agree to better than 1e-9 relative. Output sample i
-    pairs with velocity sample i; its timestamp is the kernel-center time
-    of that placement (half a frame before the sample for even kernels).
+    Output sample i pairs with velocity sample i; its timestamp is the
+    kernel-center time of that placement (half a frame before the sample for
+    even kernels). A non-finite velocity sample makes non-finite only the
+    outputs the kernel reaches from it.
     """
-    x = np.asarray(series.v, dtype=float)
-    k = np.asarray(kernel.samples, dtype=float)
-    n, m = len(x), len(k)
+    n, m = len(series.v), len(kernel.samples)
     if n < m:
         raise LengthError(f"series length {n} shorter than kernel length {m}")
-    if method == "direct":
-        full = np.convolve(x, k, mode="full")
-    elif method == "fft":
-        size = n + m - 1
-        nfft = 1 << (size - 1).bit_length()
-        full = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(k, nfft), nfft)[:size]
-    else:
-        raise ValueError(f"method must be 'direct' or 'fft', got {method!r}")
-    start = (m - 1) // 2
     # center-of-kernel time for output i: t_i - dt/2 when m is even
     center_shift = 0.0 if m % 2 else -0.5 * series.frame_ms
     return ConvolutionSeries(
         t_ms=series.t_ms + center_shift,
-        values=full[start : start + n],
+        values=np.convolve(series.v, kernel.samples, mode="same"),
         frame_ms=series.frame_ms,
         frame_index=series.frame_index,
     )
@@ -280,8 +269,7 @@ def detect(
         raise LengthError(
             f"window of {window.length_frames} frames cannot fit kernel of {len(kernel)} samples"
         )
-    # direct keeps a non-finite sample within the kernel's reach; fft spreads it over the series
-    conv = convolve(series, kernel, method="direct")
+    conv = convolve(series, kernel)
     estimates = []
     for warning_t_ms in warnings_ms:
         at = window.at(warning_t_ms)

@@ -133,8 +133,8 @@ def parse_pose_stream(
         lambda k: f"frame {frame_no[k]}: expected {L} landmarks, got {counts[k]} (frame starts on line {frame_line[k]})",
     )
     rows = rows.reshape(n, L, 5)
-    rows = np.take_along_axis(rows, np.argsort(rows[:, :, 0], axis=1)[:, :, None], axis=1)
-    ids = rows[:, :, 0]
+    order = np.argsort(rows[:, :, 0], axis=1)
+    ids = np.take_along_axis(rows[:, :, 0], order, axis=1)
     _reject((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids")
     _reject(np.diff(frame_no) <= 0, lambda k: f"frame index not strictly increasing at frame {frame_no[k + 1]}")
     if ts is not None:
@@ -156,8 +156,8 @@ def parse_pose_stream(
         nominal_fps=nominal_fps,
         frame_index=frame_no,
         timestamps_ms=frame_no * (1000.0 / nominal_fps) if ts is None else ts,
-        coords=np.ascontiguousarray(rows[:, :, 1:4]),
-        visibility=np.ascontiguousarray(rows[:, :, 4]),
+        coords=np.take_along_axis(rows[:, :, 1:4], order[:, :, None], axis=1),
+        visibility=np.take_along_axis(rows[:, :, 4], order, axis=1),
         has_z=has_z,
         timestamps_synthesized=ts is None,
     )
@@ -253,6 +253,12 @@ def _read_csv_lines(path: Path, names: list[str], usecols: list[int]):
                 for name, j in zip(names, usecols):
                     _CSV_TYPES[name](raw[j])
             except (ValueError, IndexError) as bad:
+                raise ParseError(f"bad row: {bad}", line=i + 1) from bad
+        # a value int()/float() accept but loadtxt does not, such as 1_0: the first line loadtxt rejects alone
+        for i in kept.tolist():
+            try:
+                _loadtxt(lines[i : i + 1], names, usecols)
+            except ValueError as bad:
                 raise ParseError(f"bad row: {bad}", line=i + 1) from bad
         raise ParseError(f"bad row: {exc}") from exc
     return _csv_arrays(table, names, lambda r: kept[r] + 1)

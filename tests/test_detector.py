@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from conftest import make_series, make_stream
 from rtkit.detector import (
@@ -107,7 +108,7 @@ def test_convolve_impulse_reproduces_kernel():
     k = build_kernel(500.0, FRAME_MS)
     x = np.zeros(120)
     x[60] = 1.0
-    conv = convolve(make_series(x), k, method="direct")
+    conv = convolve(make_series(x), k)
     expected = np.convolve(x, k.samples, mode="same")
     assert np.allclose(conv.values, expected, rtol=0, atol=0)
     lo = 60 - (len(k) - 1) // 2
@@ -119,7 +120,7 @@ def test_convolve_matches_numpy_same(baseline):
     rng = np.random.default_rng(0)
     x = rng.normal(size=200)
     k = build_kernel(baseline, FRAME_MS)
-    conv = convolve(make_series(x), k, method="direct")
+    conv = convolve(make_series(x), k)
     assert np.allclose(conv.values, np.convolve(x, k.samples, mode="same"), rtol=1e-12, atol=1e-12)
 
 
@@ -140,8 +141,8 @@ def test_direct_vs_fft(seed, n):
     x = rng.normal(size=n)
     k = build_kernel(float(rng.uniform(150, 900)), FRAME_MS)
     series = make_series(x)
-    d = convolve(series, k, method="direct").values
-    f = convolve(series, k, method="fft").values
+    d = convolve(series, k).values
+    f = signal.fftconvolve(x, k.samples, mode="same")
     scale = np.abs(d).max()
     assert np.abs(d - f).max() <= 1e-9 * scale
 
@@ -166,6 +167,17 @@ def test_constant_offset_shifts_interior_by_sum():
     m = len(k)
     interior = slice(m, 300 - m)
     assert np.allclose(lifted[interior] - base[interior], c * k.samples.sum(), rtol=1e-9)
+
+
+@pytest.mark.parametrize("baseline", [438.0 + FRAME_MS, 438.0])  # 15 and 14 samples
+def test_nan_reaches_only_the_kernel_span(baseline):
+    k = build_kernel(baseline, FRAME_MS)
+    m, j = len(k), 150
+    x = np.random.default_rng(6).normal(size=300)
+    x[j] = np.nan
+    lo = j - (m - 1) // 2
+    nan_at = np.flatnonzero(np.isnan(convolve(make_series(x), k).values))
+    assert np.array_equal(nan_at, np.arange(lo, lo + m))
 
 
 def test_series_shorter_than_kernel():

@@ -197,6 +197,21 @@ def test_parse_bad_frame_or_short_row(tmp_path, bad_row):
         parse_pose_stream(path)
 
 
+@pytest.mark.parametrize("column", [2, 3])  # id and x
+def test_parse_names_the_line_of_a_value_only_loadtxt_rejects(tmp_path, column):
+    # int() and float() accept digits grouped with "_"; np.loadtxt does not
+    body = edge_case_body(2)
+    fields = body[39].split(",")
+    fields[column] = "1_0"
+    body[39] = ",".join(fields)
+    path = tmp_path / "underscore.csv"
+    path.write_text("\n".join(["frame,timestamp_ms,id,x,y,z,visibility", *body]) + "\n")
+    with pytest.raises(ParseError) as info:
+        parse_pose_stream(path)
+    assert info.value.line == 41
+    assert str(info.value).startswith("line 41: bad row: could not convert string '1_0'")
+
+
 def test_parse_skips_comma_only_lines(tmp_path):
     path = tmp_path / "commas.csv"
     write_csv(path, simple_frames(2))

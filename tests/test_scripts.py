@@ -80,7 +80,20 @@ def test_bench_ab_verdicts_on_canned_pairs():
     assert verdict(base[:9], [b - 6.0 for b in base[:9]], "lower") == (False, False)
     # a metric without a bound (import_s) gets no regression verdict
     got = bench_ab.summarize(pairs(base, base), {"m": "lower"}, random.Random(0))["m"]
-    assert got["gain_resolved"] is False and got["regressed"] is None
+    assert got["gain_resolved"] is False and got["regressed"] is None and got["unresolved"] is None
+
+    def unresolved(base, change, better):
+        return bench_ab.summarize(pairs(base, change), {"m": better}, random.Random(0), {"m": 0.1})["m"]["unresolved"]
+
+    # a spread of 1.75% of the median is inside a 10% bound
+    assert unresolved(base, base, "lower") is False
+    # a spread of 27.5% of the median is wider than the bound
+    wide = [70.0, 130.0, 85.0, 115.0, 100.0, 90.0, 110.0, 80.0, 120.0, 100.0]
+    assert bench_ab.quartiles(wide) == [86.25, 100.0, 113.75]
+    assert unresolved(wide, wide, "lower") is True
+    # the same spread, but every change run beats every base run
+    assert unresolved(wide, [65.0 - i for i in range(10)], "lower") is False
+    assert unresolved(wide, [65.0 - i for i in range(10)], "higher") is True
 
 
 def test_bench_ab_code_digest_covers_src_and_bench_only(tmp_path):
