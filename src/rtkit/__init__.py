@@ -10,7 +10,7 @@ generators that serve as ground-truth oracles.
 
 __version__ = "0.1.0"
 
-from .detector import build_kernel, convolve, default_window, detect, locate_peak, reaction_time
+from .detector import build_kernel, convolve, default_window, detect, reaction_time
 from .kinematics import velocity_series
 from .pose import parse_pose_stream, select_upper_body, validate_stream, write_pose_stream
 from .spectral import cwt_gaus2, fft_magnitude
@@ -29,7 +29,6 @@ __all__ = [
     "gen_pose_stream",
     "gen_srt_dataset",
     "latency_budget_check",
-    "locate_peak",
     "paired_ttest",
     "parse_event_log",
     "parse_pose_stream",

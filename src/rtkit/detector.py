@@ -174,18 +174,6 @@ def _windowed_argmax(conv: ConvolutionSeries, window: SearchWindow) -> int:
     return int(idx[int(np.argmax(vals))])
 
 
-def locate_peak(conv: ConvolutionSeries, window: SearchWindow) -> float:
-    """Time of the maximum convolution value, relative to the window start.
-
-    Ties break toward the earliest time. Raises NonFiniteSignal when the
-    windowed convolution holds NaN or infinity, FlatSignal when it is
-    constant and GapInWindow when the window covers a sampling gap or
-    falls outside the series.
-    """
-    best = _windowed_argmax(conv, window)
-    return float(conv.t_ms[best] - window.start_ms)
-
-
 def reaction_time(t_max_ms: float, kernel: GaussianKernel) -> float:
     """Pattern onset: peak time minus half the kernel duration.
 
@@ -196,6 +184,21 @@ def reaction_time(t_max_ms: float, kernel: GaussianKernel) -> float:
     if t_max_ms < half:
         raise NegativeOnset(f"t_max {t_max_ms} ms earlier than half kernel duration {half} ms")
     return float(t_max_ms - half)
+
+
+def estimate_in_window(
+    conv: ConvolutionSeries, kernel: GaussianKernel, window: SearchWindow
+) -> tuple[float, float, float]:
+    """One warning's estimate: (t_max_ms from the window start, rt_ms, peak value).
+
+    Ties break toward the earliest time. Raises NonFiniteSignal when the
+    windowed convolution holds NaN or infinity, FlatSignal when it is
+    constant, GapInWindow when the window covers a sampling gap or falls
+    outside the series, and NegativeOnset as ``reaction_time`` does.
+    """
+    best = _windowed_argmax(conv, window)
+    t_max = float(conv.t_ms[best] - window.start_ms)
+    return t_max, reaction_time(t_max, kernel), float(conv.values[best])
 
 
 @dataclass
@@ -258,8 +261,8 @@ def detect(
     """End-to-end vision-based reaction times, one estimate per warning.
 
     Pipeline: upper-body filter -> velocity series -> participant kernel ->
-    one direct convolution -> windowed argmax and onset per warning time
-    in ``warnings_ms``. ``baseline_stats`` is the (mean, sd) pair that sets
+    one direct convolution -> ``estimate_in_window`` per warning time in
+    ``warnings_ms``. ``baseline_stats`` is the (mean, sd) pair that sets
     the search-window length; ``dims`` defaults as in ``velocity_series``.
     """
     series = velocity_series(select_upper_body(stream), dims=dims)
@@ -273,15 +276,14 @@ def detect(
     estimates = []
     for warning_t_ms in warnings_ms:
         at = window.at(warning_t_ms)
-        best = _windowed_argmax(conv, at)
-        t_max = float(conv.t_ms[best] - at.start_ms)
+        t_max, rt, peak = estimate_in_window(conv, kernel, at)
         estimates.append(
             ReactionEstimate(
                 source_id=stream.source_id,
                 warning_t_ms=float(warning_t_ms),
                 t_max_ms=t_max,
-                rt_ms=reaction_time(t_max, kernel),
-                peak_value=float(conv.values[best]),
+                rt_ms=rt,
+                peak_value=peak,
                 kernel=kernel,
                 window=at,
                 convolution=conv,

@@ -57,14 +57,6 @@ class MagnitudeSpectrum:
     fps: float
     n: int
 
-    def total_energy(self) -> float:
-        """(1/n) sum |X_k|^2 over the full two-sided transform."""
-        m2 = self.magnitude**2
-        two_sided = 2.0 * m2.sum() - m2[0]
-        if self.n % 2 == 0:
-            two_sided -= m2[-1]  # Nyquist bin appears once
-        return float(two_sided / self.n)
-
 
 def fft_magnitude(series: VelocitySeries, remove_mean: bool = False) -> MagnitudeSpectrum:
     """Magnitude of the one-sided discrete Fourier transform of the series; LengthError under 2 samples."""
@@ -96,12 +88,6 @@ class CwtResult:
     boundary_mask: np.ndarray  # True where the support crosses a series edge
     wavelet: str = WAVELET_TAG
     norm_constant: float = GAUS2_NORM
-
-    def interior(self) -> np.ndarray:
-        """Coefficients with boundary-affected entries replaced by NaN."""
-        out = self.coefficients.copy()
-        out[self.boundary_mask] = np.nan
-        return out
 
 
 def cwt_gaus2(series: VelocitySeries, scales) -> CwtResult:

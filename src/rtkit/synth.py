@@ -22,8 +22,7 @@ from .errors import BadParams, ParseError, SpecError
 from .pose import N_LANDMARKS, PoseStream
 from .stats import Method, ReactionRecord, Setting, check_cell
 
-# mean / std of the norm of a standard normal 3-vector (streams move in x, y and z)
-_NORM_MEAN = 2.0 * math.sqrt(2.0 / math.pi)
+# std of the norm of a standard normal 3-vector (streams move in x, y and z)
 _NORM_STD = math.sqrt(3.0 - 8.0 / math.pi)
 
 SRT_FLOOR_MS = 50.0  # physiological floor for generated reaction times
@@ -98,10 +97,6 @@ def velocity_noise_std(noise_sigma: float, n_landmarks: int, fps: float) -> floa
     their sum over landmarks divided by the frame duration.
     """
     return math.sqrt(n_landmarks) * noise_sigma * _NORM_STD * fps
-
-
-def velocity_noise_mean(noise_sigma: float, n_landmarks: int, fps: float) -> float:
-    return n_landmarks * noise_sigma * _NORM_MEAN * fps
 
 
 def _erf(z: np.ndarray) -> np.ndarray:

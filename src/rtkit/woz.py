@@ -151,10 +151,6 @@ class TriggerEvent:
     dispatched_ms: int
     modality: str
 
-    @property
-    def jitter_ms(self) -> int:
-        return self.dispatched_ms - self.scheduled_ms
-
     def line(self) -> str:
         return f"TRIG {self.seq} {self.modality} {self.scheduled_ms} {self.dispatched_ms}"
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtkit.detector import _windowed_argmax
 from rtkit.kinematics import VelocitySeries
 from rtkit.pose import PoseStream
 
@@ -32,6 +33,20 @@ def make_series(values, fps=30.0, source_id="test"):
         t_ms=np.arange(1, n + 1) * dt,
         v=values,
     )
+
+
+def two_sided_energy(spec):
+    """(1/n) sum |X_k|^2 over the full two-sided transform of a one-sided ``MagnitudeSpectrum``."""
+    m2 = spec.magnitude**2
+    two_sided = 2.0 * m2.sum() - m2[0]
+    if spec.n % 2 == 0:
+        two_sided -= m2[-1]  # Nyquist bin appears once
+    return float(two_sided / spec.n)
+
+
+def peak_time(conv, window):
+    """Time of the windowed argmax from the window start: the ``t_max`` of ``estimate_in_window``, with no onset check."""
+    return float(conv.t_ms[_windowed_argmax(conv, window)] - window.start_ms)
 
 
 @pytest.fixture

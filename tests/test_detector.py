@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from conftest import make_series, make_stream
+from conftest import make_series, make_stream, peak_time
 from rtkit.detector import (
     ConvolutionSeries,
     build_kernel,
     convolve,
     default_window,
     detect,
-    locate_peak,
+    estimate_in_window,
     reaction_time,
 )
 from rtkit.errors import (
@@ -104,12 +104,24 @@ def test_convolve_zero_series():
     assert len(conv) == 100
 
 
+def same_convolution(x, kernel):
+    """Multiply-accumulate reference: output i sums x[i + (m-1)//2 - j] * kernel[j] over the samples inside x."""
+    n, m = len(x), len(kernel)
+    out = np.zeros(n)
+    for i in range(n):
+        for j in range(m):
+            src = i + (m - 1) // 2 - j
+            if 0 <= src < n:
+                out[i] += x[src] * kernel[j]
+    return out
+
+
 def test_convolve_impulse_reproduces_kernel():
     k = build_kernel(500.0, FRAME_MS)
     x = np.zeros(120)
     x[60] = 1.0
     conv = convolve(make_series(x), k)
-    expected = np.convolve(x, k.samples, mode="same")
+    expected = same_convolution(x, k.samples)
     assert np.allclose(conv.values, expected, rtol=0, atol=0)
     lo = 60 - (len(k) - 1) // 2
     assert np.allclose(conv.values[lo : lo + len(k)], k.samples)
@@ -121,7 +133,7 @@ def test_convolve_matches_numpy_same(baseline):
     x = rng.normal(size=200)
     k = build_kernel(baseline, FRAME_MS)
     conv = convolve(make_series(x), k)
-    assert np.allclose(conv.values, np.convolve(x, k.samples, mode="same"), rtol=1e-12, atol=1e-12)
+    assert np.allclose(conv.values, same_convolution(x, k.samples), rtol=1e-12, atol=1e-12)
 
 
 def test_convolve_center_times():
@@ -200,19 +212,24 @@ def conv_from(values, frame_ms=FRAME_MS, t0=None):
     return ConvolutionSeries(t_ms=t, values=values, frame_ms=frame_ms, frame_index=np.arange(1, len(values) + 1))
 
 
+WINDOW_KERNEL = build_kernel(438.0, FRAME_MS)  # onset = t_max - 219 ms
+
+
 def test_locate_peak_single_maximum():
     start = 2000.0
     t = np.arange(1, 200) * FRAME_MS
     vals = np.exp(-((t - (start + 400.0)) ** 2) / (2 * 50.0**2))
     conv = conv_from(vals, t0=t)
-    t_max = locate_peak(conv, window_at(start))
+    t_max, rt, peak = estimate_in_window(conv, WINDOW_KERNEL, window_at(start))
     assert abs(t_max - 400.0) <= FRAME_MS / 2
+    assert rt == t_max - 219.0
+    assert peak == vals.max()
 
 
 def test_locate_peak_flat_signal():
     conv = conv_from(np.zeros(200))
     with pytest.raises(FlatSignal):
-        locate_peak(conv, window_at(2000.0))
+        estimate_in_window(conv, WINDOW_KERNEL, window_at(2000.0))
 
 
 def test_locate_peak_tie_breaks_earliest():
@@ -221,14 +238,14 @@ def test_locate_peak_tie_breaks_earliest():
     i300 = np.argmin(np.abs(t - 2300.0))
     i500 = np.argmin(np.abs(t - 2500.0))
     vals[i300] = vals[i500] = 7.0
-    t_max = locate_peak(conv_from(vals, t0=t), window_at(2000.0))
+    t_max, _, _ = estimate_in_window(conv_from(vals, t0=t), WINDOW_KERNEL, window_at(2000.0))
     assert t_max == pytest.approx(t[i300] - 2000.0)
 
 
 def test_locate_peak_window_outside_series():
     conv = conv_from(np.ones(30) + np.arange(30))
     with pytest.raises(GapInWindow):
-        locate_peak(conv, window_at(500.0))  # window end beyond series
+        estimate_in_window(conv, WINDOW_KERNEL, window_at(500.0))  # window end beyond series
 
 
 def test_locate_peak_gap_inside_window():
@@ -236,7 +253,7 @@ def test_locate_peak_gap_inside_window():
     t[70:] += 3 * FRAME_MS
     conv = conv_from(np.arange(199, dtype=float), t0=t)
     with pytest.raises(GapInWindow):
-        locate_peak(conv, window_at(2000.0))
+        estimate_in_window(conv, WINDOW_KERNEL, window_at(2000.0))
 
 
 def test_reaction_time_formula():
@@ -359,8 +376,8 @@ def test_shift_equivariance(k):
     conv0 = convolve(series, kern)
     conv1 = convolve(shifted_series(series, k), kern)
     start0 = 9000.0
-    t0 = locate_peak(conv0, w.at(start0))
-    t1 = locate_peak(conv1, w.at(start0 + k * FRAME_MS))
+    t0 = peak_time(conv0, w.at(start0))
+    t1 = peak_time(conv1, w.at(start0 + k * FRAME_MS))
     # same relative time in the shifted window; absolute peak moved k frames
     assert t1 == pytest.approx(t0, abs=1e-9)
 
@@ -374,5 +391,5 @@ def test_amplitude_invariance(c):
     w = default_window(438.0, 154.0, FRAME_MS).at(9000.0)
     base = convolve(make_series(v), kern)
     scaled = convolve(make_series(c * v), kern)
-    assert locate_peak(base, w) == locate_peak(scaled, w)
+    assert peak_time(base, w) == peak_time(scaled, w)
     assert np.allclose(scaled.values, c * base.values, rtol=1e-9)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_stream
 from rtkit.errors import EmptyStream, ParseError, SchemaError
 from rtkit.pose import (
+    _WRITE_BLOCK,
     parse_pose_stream,
     select_upper_body,
     validate_stream,
@@ -413,7 +414,7 @@ def reference_jsonl(stream):
 
 
 def odd_value_streams():
-    """Streams whose spelling the writers must get right, each 300 frames (a last block of 44)."""
+    """Streams whose spelling the writers must get right, each 300 frames (not a whole number of blocks)."""
     rng = np.random.default_rng(4)
     coords = rng.normal(size=(300, 33, 3)) * 10.0 ** rng.integers(-12, 12, size=(300, 33, 3))
     coords[5, :4] = [[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-310], [1e300, -1e-5, 0.1], [123456789.0, 2.0**60, -3.0]]
@@ -437,7 +438,7 @@ def test_writer_matches_per_row_reference(tmp_path, fmt):
         path = tmp_path / f"{name}.{fmt}"
         write_pose_stream(stream, path)
         assert path.read_bytes() == reference(stream), name
-        for n in (1, 256, 257):
+        for n in (1, _WRITE_BLOCK, _WRITE_BLOCK + 1):
             head = dataclasses.replace(
                 stream,
                 frame_index=stream.frame_index[:n],
@@ -447,6 +448,23 @@ def test_writer_matches_per_row_reference(tmp_path, fmt):
             )
             write_pose_stream(head, path)
             assert path.read_bytes() == reference(head), (name, n)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_memory_does_not_grow_with_the_stream(tmp_path, fmt):
+    # a 60 s, 30 fps write peaks under half the arrays it writes, and a 120 s write within 5% of that
+    peaks, nbytes = {}, {}
+    for seconds in (60, 120):
+        stream, _ = gen_pose_stream(seconds * 1000.0, 30.0, [], [], NoiseSpec(0.004), seed=11, source_id="s")
+        nbytes[seconds] = sum(a.nbytes for a in (stream.frame_index, stream.timestamps_ms, stream.coords, stream.visibility))
+        tracemalloc.start()
+        try:
+            write_pose_stream(stream, tmp_path / f"s{seconds}.{fmt}")
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[60] < nbytes[60] / 2, f"peak {peaks[60] / 1e6:.2f} MB for {nbytes[60] / 1e6:.2f} MB of arrays"
+    assert peaks[120] <= 1.05 * peaks[60], f"peaks {peaks[60] / 1e6:.2f} MB (60 s), {peaks[120] / 1e6:.2f} MB (120 s)"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -21,7 +21,6 @@ from rtkit.synth import (
     _compensate_steps,
     gen_pose_stream,
     gen_srt_dataset,
-    velocity_noise_mean,
     velocity_noise_std,
 )
 from rtkit.trials import error_summary, run_detection_trial
@@ -149,12 +148,17 @@ def test_burst_count_mismatch():
         gen_pose_stream(20000, 30.0, [5000.0, 9000.0], [BurstSpec(1.0, 5.0, 1.0)], NoiseSpec(0.0), seed=0)
 
 
+def noise_mean(sigma, n_landmarks, fps):
+    """Mean of the noise-only 3-D velocity: n landmarks times the mean norm of a walk step, 2 sqrt(2/pi) sigma, per frame."""
+    return n_landmarks * sigma * 2.0 * math.sqrt(2.0 / math.pi) * fps
+
+
 def test_velocity_noise_moments_match_empirical():
     sigma, fps = 0.004, 30.0
     stream, _ = gen_pose_stream(120000, fps, [], [], NoiseSpec(sigma), seed=5)
     v = velocity_series(select_upper_body(stream)).v
     assert np.std(v) == pytest.approx(velocity_noise_std(sigma, 25, fps), rel=0.05)
-    assert np.mean(v) == pytest.approx(velocity_noise_mean(sigma, 25, fps), rel=0.02)
+    assert np.mean(v) == pytest.approx(noise_mean(sigma, 25, fps), rel=0.02)
 
 
 def test_noisy_burst_amplitude_delivered():
@@ -168,7 +172,7 @@ def test_noisy_burst_amplitude_delivered():
         series = velocity_series(select_upper_body(stream))
         sel = np.abs(series.t_ms - truths[0].center_abs_ms) <= FRAME_MS
         peaks.append(series.v[sel].max())
-    pedestal = velocity_noise_mean(sigma, 25, fps)
+    pedestal = noise_mean(sigma, 25, fps)
     assert np.mean(peaks) - pedestal == pytest.approx(amp, rel=0.15)
 
 
