@@ -1,9 +1,9 @@
 """Pose-landmark stream ingestion: parsing, writing, validation, upper-body filtering.
 
 A stream is held column-wise in numpy arrays, from the parsed file to the
-detector. Each file format is read into one table of landmark rows, split
-into frames and checked as whole arrays; there is no per-frame or
-per-landmark object.
+detector. A file is read a block of frames at a time straight into the
+stream's arrays, each block checked as whole arrays; there is no per-frame
+or per-landmark object.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import json
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +103,16 @@ _CSV_REQUIRED = ("frame", "id", "x", "y")
 _CSV_TYPES = {"frame": int, "timestamp_ms": float, "id": int, "x": float, "y": float, "z": float, "visibility": float}
 # a CSV line of only commas and whitespace (what str.strip removes; U+3000 is the last) is blank
 _BLANK = "," + "".join(filter(str.isspace, map(chr, range(0x3001))))
-# frames formatted per write call: the writer's temporaries stay near 0.6 MB for any stream length
+# frames parsed per read block and formatted per write call: the reader's temporaries stay
+# near 0.3 MB and the writer's near 0.6 MB for any stream length
+_READ_BLOCK = 32
 _WRITE_BLOCK = 32
+# the ids of a frame whose rows are in id order
+_IDS = np.arange(N_LANDMARKS)
+# the types of a JSON number (a JSON true or false is a bool, which is not one)
+_NUMBER = (int, float)
+# a JSONL landmark's values, in row order
+_LANDMARK_KEYS = itemgetter("id", "x", "y", "z", "v")
 
 
 def parse_pose_stream(
@@ -117,7 +127,9 @@ def parse_pose_stream(
     order (they are sorted by id), and every frame the same id set; frame
     numbers and timestamps must be finite and increase strictly. Raises
     ParseError (bad row, with line number), SchemaError (landmark count /
-    ids / order / timestamps), EmptyStream.
+    ids / order / timestamps), EmptyStream. The file is read _READ_BLOCK
+    frames at a time and each frame is checked when it ends, so a file with
+    several faults reports the earliest.
     Missing timestamps are synthesized from ``nominal_fps`` and flagged on
     the stream.
     """
@@ -125,39 +137,15 @@ def parse_pose_stream(
     if not path.exists():
         raise ParseError(f"no such file: {path}")
     read = _read_csv if _format(path, format) == "csv" else _read_jsonl
-    frame_no, ts, starts, frame_line, rows, has_z = read(path)
-    n, L = len(frame_no), N_LANDMARKS
-    counts = np.diff(starts, append=len(rows))
-    _reject(
-        counts != L,
-        lambda k: f"frame {frame_no[k]}: expected {L} landmarks, got {counts[k]} (frame starts on line {frame_line[k]})",
-    )
-    rows = rows.reshape(n, L, 5)
-    order = np.argsort(rows[:, :, 0], axis=1)
-    ids = np.take_along_axis(rows[:, :, 0], order, axis=1)
-    _reject((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids")
-    _reject(np.diff(frame_no) <= 0, lambda k: f"frame index not strictly increasing at frame {frame_no[k + 1]}")
-    if ts is not None:
-        _reject(
-            ~np.isfinite(ts),
-            lambda k: f"frame {frame_no[k]}: timestamp_ms {float(ts[k])!r} on line {frame_line[k]} is not finite",
-        )
-        _reject(np.diff(ts) <= 0, lambda k: f"timestamps not strictly increasing at frame {frame_no[k + 1]}")
-    _reject((ids != ids[0]).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame")
-    # every frame now holds the first frame's ids
-    _reject(
-        (ids[0] < 0) | (ids[0] >= L),
-        lambda j: f"frame {frame_no[0]}: landmark id {int(ids[0, j])} is outside 0..{L - 1}"
-        f" (frame starts on line {frame_line[0]})",
-    )
-
+    frames, has_z = read(path)
+    frame_no, ts, coords, visibility = frames.arrays(path)
     return PoseStream(
         source_id=path.stem,
         nominal_fps=nominal_fps,
         frame_index=frame_no,
         timestamps_ms=frame_no * (1000.0 / nominal_fps) if ts is None else ts,
-        coords=np.take_along_axis(rows[:, :, 1:4], order[:, :, None], axis=1),
-        visibility=np.take_along_axis(rows[:, :, 4], order, axis=1),
+        coords=coords,
+        visibility=visibility,
         has_z=has_z,
         timestamps_synthesized=ts is None,
     )
@@ -171,39 +159,204 @@ def _format(path: Path, format: str | None) -> str:
     return format
 
 
-def _reject(bad: np.ndarray, message) -> None:
-    """Raise SchemaError with ``message(k)`` for the first index k where ``bad`` holds."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        raise SchemaError(message(int(hits[0])))
+class _Frames:
+    """A stream's arrays, allocated for ``capacity`` frames and filled with whole frames, a block at a time.
+
+    ``add`` checks a block's frames against each other, the last stored frame
+    and the first frame's ids, then stores them, each frame's rows in id order.
+    It raises the earliest fault: the lowest frame, and within a frame the
+    first of, in order, the reader's row faults, the landmark count, duplicate
+    ids, the frame number's order, a non-finite timestamp, the timestamps'
+    order, ids unlike the first frame's and, in the first frame, an id
+    outside 0..32.
+    """
+
+    def __init__(self, capacity: int, timestamps: bool):
+        L = N_LANDMARKS
+        self.frame_index = np.empty(capacity, np.int64)
+        self.timestamps_ms = np.empty(capacity) if timestamps else None
+        self.coords = np.empty((capacity, L, 3))
+        self.visibility = np.empty((capacity, L))
+        self.n = 0
+        self.first_ids, self.first_in_order = None, False
+        # a timestamp fault waits for the next fault or the end of the file: JSONL keeps
+        # timestamps only when every frame has one, so a later frame without one voids it
+        self.pending = None
+
+    def drop_timestamps(self) -> None:
+        self.timestamps_ms = self.pending = None
+
+    def add(self, frame_no, ts, line, counts, ids, values, fault=None) -> None:
+        """Check and store whole frames.
+
+        Per frame: its number (int64), timestamp (ignored without timestamps),
+        first line and row count; per row: the id, then x, y, z and visibility
+        (an array, or one value for every row). ``fault`` is one the reader
+        found after these frames, raised when none of them has an earlier one.
+        """
+        L, n = N_LANDMARKS, self.n
+        short = np.flatnonzero(counts != L)
+        if short.size:
+            k = int(short[0])
+            fault = SchemaError(
+                f"frame {frame_no[k]}: expected {L} landmarks, got {counts[k]} (frame starts on line {line[k]})"
+            )
+            frame_no, line, ts = frame_no[:k], line[:k], ts if ts is None else ts[:k]
+            ids, values = ids[: k * L], [v[: k * L] if np.ndim(v) else v for v in values]
+        m = len(frame_no)
+        if m:
+            ids = np.asarray(ids, dtype=float).reshape(m, L)
+            # a block whose rows are in id order is copied as it is
+            order = None if (ids == _IDS).all() else np.argsort(ids, axis=1)
+            if order is not None:
+                ids = np.take_along_axis(ids, order, axis=1)
+            if self.first_ids is None:
+                self.first_ids, self.first_in_order = ids[0].copy(), bool((ids[0] == _IDS).all())
+            # each frame number and timestamp with the stored one before it
+            numbers = np.concatenate([self.frame_index[n - 1 : n], frame_no])
+            stamps = None if self.timestamps_ms is None else np.concatenate([self.timestamps_ms[n - 1 : n], ts])
+            clear = order is None and self.first_in_order and (numbers[1:] > numbers[:-1]).all()
+            if not (clear and (stamps is None or (np.isfinite(ts).all() and (stamps[1:] > stamps[:-1]).all()))):
+                self._check(frame_no, numbers, stamps, line, ids)
+            self.frame_index[n : n + m] = frame_no
+            if stamps is not None:
+                self.timestamps_ms[n : n + m] = ts
+            dest = [self.coords[n : n + m, :, c] for c in range(3)] + [self.visibility[n : n + m]]
+            for d, v in zip(dest, values):
+                if np.ndim(v) == 0:
+                    d[...] = v
+                elif order is None:
+                    d[...] = v.reshape(m, L)
+                else:
+                    d[...] = np.take_along_axis(v.reshape(m, L), order, axis=1)
+            self.n += m
+        if fault is not None:
+            raise self.pending or fault
+
+    def _check(self, frame_no, numbers, stamps, line, ids) -> None:
+        """Raise the earliest fault of a block, or keep it pending if it is a timestamp fault."""
+        L, m, first = N_LANDMARKS, len(frame_no), self.first_ids
+        outside = np.flatnonzero((first < 0) | (first >= L))
+        range_fault = np.zeros(m, bool)
+        range_fault[0] = self.n == 0 and outside.size > 0
+        # (bad frames, message of frame k, whether a timestamp check), in check order
+        checks = [
+            ((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids", False),
+            (_not_above(numbers, m), lambda k: f"frame index not strictly increasing at frame {frame_no[k]}", False),
+        ]
+        if stamps is not None:
+            ts = stamps[len(stamps) - m :]
+            checks += [
+                (
+                    ~np.isfinite(ts),
+                    lambda k: f"frame {frame_no[k]}: timestamp_ms {float(ts[k])!r} on line {line[k]} is not finite",
+                    True,
+                ),
+                (_not_above(stamps, m), lambda k: f"timestamps not strictly increasing at frame {frame_no[k]}", True),
+            ]
+        checks += [
+            ((ids != first).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame", False),
+            (
+                range_fault,
+                lambda k: f"frame {frame_no[0]}: landmark id {int(first[outside[0]])} is outside 0..{L - 1}"
+                f" (frame starts on line {line[0]})",
+                False,
+            ),
+        ]
+        hit = _earliest(checks)
+        if hit and hit[1]:
+            self.pending = self.pending or SchemaError(hit[0])
+            hit = _earliest([c for c in checks if not c[2]])
+        if hit:
+            raise self.pending or SchemaError(hit[0])
+
+    def arrays(self, path: Path):
+        """Frame numbers, timestamps (None without them), coordinates and visibility of the stored frames."""
+        if self.pending:
+            raise self.pending
+        if not self.n:
+            raise EmptyStream(f"{path}: no frames")
+        arrays = (self.frame_index, self.timestamps_ms, self.coords, self.visibility)
+        for a in arrays:
+            if a is not None and len(a) > self.n:
+                a.resize((self.n, *a.shape[1:]), refcheck=False)  # in place: nothing else holds the array
+        return arrays
 
 
-# Both readers return: frame numbers, timestamps (None when absent), first
-# row and first line of each frame, rows of id/x/y/z/visibility, has_z.
-# Neither keeps a Python object per line or row: the CSV body goes from the
-# open file into one structured array, the JSONL values into one float
-# buffer. Only a CSV with blank lines or a bad row is read as a list of
-# lines, to number them as the file does.
+def _not_above(values: np.ndarray, m: int) -> np.ndarray:
+    """For each of the last ``m`` values, whether it is at most the one before it (False for the first value)."""
+    bad = np.zeros(m, bool)
+    bad[m + 1 - len(values) :] = values[1:] <= values[:-1]
+    return bad
+
+
+def _earliest(checks) -> tuple[str, bool] | None:
+    """Message and flag of the check that holds at the lowest k, the first such check at it; None if none holds."""
+    hit = None
+    for bad, message, flag in checks:
+        ks = np.flatnonzero(bad)
+        if ks.size and (hit is None or ks[0] < hit[0]):
+            hit = ks[0], message, flag
+    return hit and (hit[1](int(hit[0])), hit[2])
+
+
+# Each reader hands _Frames whole frames, _READ_BLOCK at a time, with the
+# first fault it finds in them and the frames before that fault. Neither
+# keeps a Python object per line or row beyond one block.
 
 
 def _read_csv(path: Path):
     n_lines = _count_lines(path)
-    with open(path, encoding="utf-8") as fh:
-        names, usecols = _csv_columns(path, fh.readline())
-        table = None
-        if n_lines > 1:
-            try:
-                with warnings.catch_warnings():
-                    # a body of empty lines only: the line-list read below raises EmptyStream
-                    warnings.simplefilter("ignore", UserWarning)
-                    table = _loadtxt(fh, names, usecols)
-            except ValueError:
-                pass
-    if table is None or len(table) != n_lines - 1:
-        # skipped lines, a bad row or a quoted line end: the line-list read names the lines
-        return _read_csv_lines(path, names, usecols)
-    # each body line holds one row: row r sits on line r + 2
-    return _csv_arrays(table, names, lambda r: r + 2)
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        # numpy warns of a block that reads as no rows: one of blank lines only
+        warnings.simplefilter("ignore", UserWarning)
+        dtype, usecols = _csv_columns(path, fh.readline())
+        frames = _Frames((n_lines - 1) // N_LANDMARKS, "timestamp_ms" in dtype.names)
+        # the rows of the frame the last block ended in, with their lines: the next block may go on with it
+        carry = np.empty(0, dtype), np.empty(0, np.int64)
+        line_no, n_read = 2, 1
+        while n_read:
+            table, row_line, fault, n_read = _csv_rows(islice(fh, _READ_BLOCK * N_LANDMARKS), line_no, dtype, usecols)
+            line_no += n_read
+            # the tables as bytes: numpy joins structured arrays field by field, several times slower
+            table = np.concatenate([carry[0].view(np.uint8), table.view(np.uint8)]).view(dtype)
+            row_line = np.concatenate([carry[1], row_line])
+            carry = _add_csv_frames(frames, table, row_line, fault, end=not n_read)
+    return frames, "z" in dtype.names
+
+
+def _add_csv_frames(frames: _Frames, table: np.ndarray, row_line: np.ndarray, fault, end: bool):
+    """Add the whole frames of ``table``, rows read from the lines ``row_line``; return the rest, with their lines.
+
+    A frame is whole once the next one starts, or at the end of the file. A
+    bad row (``fault``) may belong to the frame before it, so that frame is
+    not added.
+    """
+    frame = table["frame"]
+    starts = np.flatnonzero(np.concatenate([[len(table) > 0], frame[1:] != frame[:-1]]))
+    counts = np.diff(np.concatenate([starts, [len(table)]]))
+    whole = len(starts) if end else max(len(starts) - 1, 0)
+    stop = starts[whole] if whole < len(starts) else len(table)
+    rest = table[stop:].copy(), row_line[stop:].copy()
+    rows, starts, counts = table[:stop], starts[:whole], counts[:whole]
+    names, ts = table.dtype.names, None
+    if "timestamp_ms" in names:
+        row_ts = rows["timestamp_ms"]
+        ts = row_ts[starts]
+        first = np.repeat(ts, counts)
+        differs = row_ts != first
+        if differs.any() and (differs := np.flatnonzero(differs & ~(np.isnan(row_ts) & np.isnan(first)))).size:
+            r = differs[0]
+            fault = SchemaError(
+                f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {row_line[r]}"
+                f" differs from the frame's first row ({float(first[r])!r})"
+            )
+            whole = np.searchsorted(starts, r, "right") - 1
+            rows, starts, counts, ts = rows[: starts[whole]], starts[:whole], counts[:whole], ts[:whole]
+    z = rows["z"] if "z" in names else 0.0
+    values = [rows["x"], rows["y"], z, rows["visibility"] if "visibility" in names else 1.0]
+    frames.add(rows["frame"][starts], ts, row_line[starts], counts, rows["id"], values, fault)
+    return rest
 
 
 def _count_lines(path: Path) -> int:
@@ -219,8 +372,8 @@ def _count_lines(path: Path) -> int:
     return int(n) + (last not in (None, 10, 13))  # a last line without a line end
 
 
-def _csv_columns(path: Path, header_line: str) -> tuple[list[str], list[int]]:
-    """The parsed column names, in row order, and their indices in ``header_line``."""
+def _csv_columns(path: Path, header_line: str) -> tuple[np.dtype, list[int]]:
+    """The row dtype of the parsed columns, named in row order, and the columns' indices in ``header_line``."""
     if not header_line:
         raise EmptyStream(f"{path}: no frames")
     header = [h.strip() for h in next(csv.reader([header_line]))]
@@ -228,114 +381,154 @@ def _csv_columns(path: Path, header_line: str) -> tuple[list[str], list[int]]:
         if name not in header:
             raise ParseError(f"missing column {name!r} in header", line=1)
     names = [name for name in _CSV_TYPES if name in header]
-    return names, [header.index(name) for name in names]
+    return np.dtype([(name, _CSV_TYPES[name]) for name in names]), [header.index(name) for name in names]
 
 
-def _loadtxt(lines, names: list[str], usecols: list[int]) -> np.ndarray:
-    dtype = [(name, _CSV_TYPES[name]) for name in names]
+def _loadtxt(lines, dtype: np.dtype, usecols: list[int]) -> np.ndarray:
     return np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=1)
 
 
-def _read_csv_lines(path: Path, names: list[str], usecols: list[int]):
-    """The CSV body as a list of lines, less the blank ones; a bad row is named by its line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    kept = np.array([i for i in range(1, len(lines)) if lines[i].strip(_BLANK)], dtype=np.int64)
-    if not kept.size:
-        raise EmptyStream(f"{path}: no frames")
+def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int]):
+    """The rows of a block of CSV lines, the line of each row, the block's first bad row and the lines read.
+
+    With a bad row, a ParseError, the rows are those of the lines before it;
+    without one, the fault is None.
+    """
+    lines = list(block)
     try:
-        table = _loadtxt([lines[i] for i in kept], names, usecols)
+        table = _loadtxt(lines, dtype, usecols)
+        if len(table) == len(lines):
+            return table, np.arange(first_line, first_line + len(lines)), None, len(lines)
+    except ValueError:
+        pass
+    # blank lines, a bad row or a quoted line end: read the other lines, and name each row's line
+    kept = [i for i, line in enumerate(lines) if line.strip(_BLANK)]
+    try:
+        table = _loadtxt([lines[i] for i in kept], dtype, usecols)
     except ValueError as exc:
-        # the bulk read failed: find the first line int()/float() reject to name it
-        for i in kept.tolist():
+        bad, fault = _bad_row(lines, kept, dtype, usecols, first_line, exc)
+        return *_csv_rows(lines[:bad], first_line, dtype, usecols)[:2], fault, len(lines)
+    return table, first_line + np.array(kept[: len(table)], dtype=np.int64), None, len(lines)
+
+
+def _bad_row(lines, kept, dtype, usecols, first_line, exc) -> tuple[int, ParseError]:
+    """The first kept line that int()/float() or, alone, loadtxt rejects, and its ParseError; (0, unnamed) if none."""
+    for i in kept:
+        try:
             raw = next(csv.reader(lines[i : i + 1]))
-            try:
-                for name, j in zip(names, usecols):
-                    _CSV_TYPES[name](raw[j])
-            except (ValueError, IndexError) as bad:
-                raise ParseError(f"bad row: {bad}", line=i + 1) from bad
-        # a value int()/float() accept but loadtxt does not, such as 1_0: the first line loadtxt rejects alone
-        for i in kept.tolist():
-            try:
-                _loadtxt(lines[i : i + 1], names, usecols)
-            except ValueError as bad:
-                raise ParseError(f"bad row: {bad}", line=i + 1) from bad
-        raise ParseError(f"bad row: {exc}") from exc
-    return _csv_arrays(table, names, lambda r: kept[r] + 1)
-
-
-def _csv_arrays(table: np.ndarray, names: list[str], line):
-    """The reader's arrays from the parsed CSV ``table``; ``line(r)`` is the line of row r (r may be an array)."""
-    frame = table["frame"]
-    starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
-    rows = np.empty((len(table), 5))
-    rows[:, 0] = table["id"]
-    rows[:, 1] = table["x"]
-    rows[:, 2] = table["y"]
-    rows[:, 3] = table["z"] if "z" in names else 0.0
-    rows[:, 4] = table["visibility"] if "visibility" in names else 1.0
-    ts = None
-    if "timestamp_ms" in names:
-        row_ts = table["timestamp_ms"]
-        ts = row_ts[starts]
-        first = np.repeat(ts, np.diff(starts, append=len(table)))
-        _reject(
-            (row_ts != first) & ~(np.isnan(row_ts) & np.isnan(first)),
-            lambda r: f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {line(r)}"
-            f" differs from the frame's first row ({float(first[r])!r})",
-        )
-    return frame[starts], ts, starts, line(starts), rows, "z" in names
+            for name, j in zip(dtype.names, usecols):
+                _CSV_TYPES[name](raw[j])
+            # a value int()/float() accept but loadtxt does not, such as 1_0
+            _loadtxt(lines[i : i + 1], dtype, usecols)
+        except (ValueError, IndexError) as bad:
+            return i, ParseError(f"bad row: {bad}", line=first_line + i)
+    return 0, ParseError(f"bad row: {exc}")
 
 
 def _read_jsonl(path: Path):
-    frame_no, ts, starts, frame_lines, values = array("d"), array("d"), array("q"), array("q"), array("d")
-    has_z = True
+    frames = _Frames(_count_lines(path), timestamps=True)
+    has_z, line_no, end = True, 0, False
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", line=line_no) from exc
-            try:
-                frame_no.append(float(obj["frame"]))
-                if "timestamp_ms" in obj:
-                    ts.append(float(obj["timestamp_ms"]))
-                landmarks = obj["landmarks"]
-                has_z = has_z and all("z" in lm for lm in landmarks)
-                starts.append(len(values) // 5)
-                values.fromlist(
-                    [
-                        value
-                        for lm in landmarks
-                        for value in (float(lm["id"]), float(lm["x"]), float(lm["y"]),
-                                      float(lm.get("z", 0.0)), float(lm.get("v", 1.0)))
-                    ]
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad frame object: {exc}", line=line_no) from exc
-            frame_lines.append(line_no)
-    if not frame_no:
-        raise EmptyStream(f"{path}: no frames")
-    # a timestamp is kept only when every frame has one
-    ts = np.frombuffer(ts) if len(ts) == len(frame_no) else None
-    starts, frame_lines = np.frombuffer(starts, np.int64), np.frombuffer(frame_lines, np.int64)
-    rows = np.frombuffer(values).reshape(-1, 5)
-    # JSON numbers were read as floats: a frame or id with a fraction is rejected, not truncated
-    frame_no = _integers(np.frombuffer(frame_no), "frame", lambda k: frame_lines[k])
-    _integers(rows[:, 0], "landmark id", lambda r: frame_lines[np.searchsorted(starts, r, "right") - 1])
-    return frame_no, ts, starts, frame_lines, rows, has_z
+        while not end:
+            frame_no, ts, lines, counts, values = [], [], [], [], array("d")
+            fault, first = None, line_no
+            for line_no, line in enumerate(islice(fh, _READ_BLOCK), line_no + 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    # array('d') takes a bool as 0 or 1: a line that may hold one is checked value by value
+                    if _may_hold_bool(line) and _frame_fault(obj, has_z):
+                        raise ValueError
+                    f, t, landmarks = obj["frame"], obj.get("timestamp_ms", 0.0), obj["landmarks"]
+                    z = has_z
+                    try:
+                        row = list(chain.from_iterable(map(_LANDMARK_KEYS, landmarks)))
+                    except KeyError:  # a landmark without z or v
+                        z = has_z and all("z" in lm for lm in landmarks)
+                        row = [
+                            v for lm in landmarks for v in (lm["id"], lm["x"], lm["y"], lm.get("z", 0.0), lm.get("v", 1.0))
+                        ]
+                    if type(f) not in _NUMBER or type(t) not in _NUMBER:
+                        raise TypeError
+                    f, t = float(f), float(t) if "timestamp_ms" in obj else None
+                    values.fromlist(row)  # TypeError for a string or null, and nothing appended
+                except json.JSONDecodeError as exc:
+                    fault = ParseError(f"bad JSON: {exc.msg}", line=line_no)
+                    break
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    fault = ParseError(_frame_fault(obj, has_z), line=line_no)
+                    break
+                has_z = z
+                frame_no.append(f)
+                ts.append(t)
+                lines.append(line_no)
+                counts.append(len(landmarks))
+            end = line_no == first
+            if None in ts:
+                frames.drop_timestamps()
+            frame_no, line, counts = np.array(frame_no), np.array(lines, np.int64), np.array(counts, np.int64)
+            rows = np.frombuffer(values).reshape(-1, 5)
+            # JSON numbers were read as floats: a frame or id with a fraction is rejected, not truncated
+            m = len(frame_no)
+            bad = np.flatnonzero(~_whole(rows[:, 0]))
+            if bad.size:
+                m = np.searchsorted(np.cumsum(counts), bad[0], "right")
+                fault = ParseError(f"landmark id {float(rows[bad[0], 0])!r} is not an integer", line=int(line[m]))
+            bad = np.flatnonzero(~_whole(frame_no[: m + 1]))
+            if bad.size:
+                m = bad[0]
+                fault = ParseError(f"frame {float(frame_no[m])!r} is not an integer", line=int(line[m]))
+            r = counts[:m].sum()
+            frames.add(
+                frame_no[:m].astype(np.int64), np.array(ts[:m], float), line[:m], counts[:m],
+                rows[:r, 0], [rows[:r, c] for c in range(1, 5)], fault,
+            )
+    return frames, has_z
 
 
-def _integers(values: np.ndarray, what: str, line) -> np.ndarray:
-    """``values`` as int64; ParseError at ``line(k)`` for the first k that is not a whole number."""
-    hits = np.flatnonzero(~(np.isfinite(values) & (values == np.floor(values))))
-    if hits.size:
-        k = int(hits[0])
-        raise ParseError(f"{what} {float(values[k])!r} is not an integer", line=int(line(k)))
-    return values.astype(np.int64)
+def _may_hold_bool(line: str) -> bool:
+    """Whether a JSONL line may hold a true or a false.
+
+    Of the letters in a frame object's keys and numbers, only a true has a
+    "u", and a false adds an "l" to the one in "landmarks". A search for one
+    letter costs about 1% of a json.loads and one for "true" and "false" 6%,
+    so only a line with such a letter is searched for the words.
+    """
+    return ("u" in line or line.find("l", line.find("l") + 1) >= 0) and ("true" in line or "false" in line)
+
+
+def _whole(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values == np.floor(values))
+
+
+def _frame_fault(obj, has_z: bool) -> str | None:
+    """The first fault of a JSONL frame object, in reading order, as ParseError text; None if it has none."""
+    try:
+        for key, value in _frame_fields(obj, has_z):
+            if type(value) not in _NUMBER:
+                return f'"{key}": {json.dumps(value)} is not a number'
+            float(value)  # OverflowError for an integer beyond the float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return f"bad frame object: {exc}"
+    return None
+
+
+def _frame_fields(obj, has_z: bool):
+    """(key, value) of each number a JSONL frame object holds, in reading order."""
+    yield "frame", obj["frame"]
+    if "timestamp_ms" in obj:
+        yield "timestamp_ms", obj["timestamp_ms"]
+    landmarks = obj["landmarks"]
+    if has_z:
+        all("z" in lm for lm in landmarks)  # as the reader tests them: a landmark that is no object fails here
+    for lm in landmarks:
+        yield "id", lm["id"]
+        yield "x", lm["x"]
+        yield "y", lm["y"]
+        yield "z", lm.get("z", 0.0)
+        yield "v", lm.get("v", 1.0)
 
 
 def write_pose_stream(stream: PoseStream, path: str | Path, format: str | None = None) -> None:
@@ -453,8 +646,8 @@ def validate_stream(stream: PoseStream) -> ValidationReport:
         for i in np.flatnonzero(off_nominal(deltas, nominal))
     ]
     findings += [
-        Finding("range", int(frame[i]), f"visibility {vis[i, j]!r} outside [0, 1]", landmark_id=int(j))
-        for i, j in np.argwhere((vis < 0.0) | (vis > 1.0))
+        Finding("range", int(frame[i]), f"visibility {float(vis[i, j])!r} outside [0, 1]", landmark_id=int(j))
+        for i, j in np.argwhere(~((vis >= 0.0) & (vis <= 1.0)))  # NaN too
     ]
     findings += [
         Finding("range", int(frame[i]), "non-finite coordinate", landmark_id=int(j))

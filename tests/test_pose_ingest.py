@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_stream
 from rtkit.errors import EmptyStream, ParseError, SchemaError
 from rtkit.pose import (
+    _READ_BLOCK,
     _WRITE_BLOCK,
     parse_pose_stream,
     select_upper_body,
@@ -276,6 +277,38 @@ def test_parse_jsonl_non_integral_frame_or_id(tmp_path, field, value, match):
         parse_pose_stream(path)
 
 
+@pytest.mark.parametrize("value", ["1", "nan", True, False, None])
+@pytest.mark.parametrize("key", ["frame", "timestamp_ms", "id", "x", "y", "z", "v"])
+def test_parse_jsonl_values_must_be_numbers(tmp_path, key, value):
+    # float() would take "1", "nan" and true; a JSON string, true, false or null is named instead
+    frames = [jsonl_frame(i) for i in range(3)]
+    if key in ("frame", "timestamp_ms"):
+        frames[1][key] = value
+    else:
+        frames[1]["landmarks"][6][key] = value
+    path = tmp_path / "strings.jsonl"
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(ParseError) as info:
+        parse_pose_stream(path)
+    assert info.value.line == 2
+    assert str(info.value) == f'line 2: "{key}": {json.dumps(value)} is not a number'
+
+
+def test_parse_jsonl_timestamp_faults_are_void_without_timestamps(tmp_path):
+    # timestamps are kept only when every frame has one, so frame 2's NaN stamp is no fault once frame 40 has none
+    frames = [jsonl_frame(i) for i in range(2 * _READ_BLOCK)]
+    frames[2]["timestamp_ms"] = float("nan")
+    del frames[40]["timestamp_ms"]
+    path = tmp_path / "void.jsonl"
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    stream = parse_pose_stream(path)
+    assert stream.timestamps_synthesized
+    frames[40]["timestamp_ms"] = 40 * 33.25
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(SchemaError, match="^frame 2: timestamp_ms nan on line 3 is not finite$"):
+        parse_pose_stream(path)
+
+
 def test_parse_jsonl_integral_float_frame(tmp_path):
     path = tmp_path / "whole.jsonl"
     frames = [jsonl_frame(i) for i in range(2)]
@@ -480,21 +513,91 @@ def test_two_dimensional_stream_roundtrips(tmp_path, fmt):
     assert back == stream
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_parse_memory_is_bounded_by_the_arrays(tmp_path, fmt):
-    # a 60 s, 30 fps file: the parser's peak allocation stays within 4x the arrays it returns
-    stream, _ = gen_pose_stream(60000, 30.0, [], [], NoiseSpec(0.004), seed=11, source_id="s60")
-    path = tmp_path / f"s60.{fmt}"
-    write_pose_stream(stream, path)
-    tracemalloc.start()
-    try:
-        back = parse_pose_stream(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back == stream
-    nbytes = sum(a.nbytes for a in (back.frame_index, back.timestamps_ms, back.coords, back.visibility))
-    assert peak <= 4 * nbytes, f"peak {peak / 1e6:.2f} MB for {nbytes / 1e6:.2f} MB of arrays"
+@pytest.mark.parametrize("kind", ["csv", "jsonl", "blank lines"])
+def test_parse_memory_is_bounded_by_the_arrays(tmp_path, kind):
+    # the parser's peak allocation is the arrays it returns plus under 0.5 MB, at 60 s and at 120 s
+    for seconds in (60, 120):
+        stream, _ = gen_pose_stream(seconds * 1000.0, 30.0, [], [], NoiseSpec(0.004), seed=11, source_id="s")
+        path = tmp_path / f"s.{'jsonl' if kind == 'jsonl' else 'csv'}"
+        write_pose_stream(stream, path)
+        if kind == "blank lines":
+            lines = path.read_bytes().split(b"\r\n")
+            for at in (5000, 1000, _READ_BLOCK * 33 + 1, 5):
+                lines.insert(at, b"")
+            path.write_bytes(b"\r\n".join(lines))
+        tracemalloc.start()
+        try:
+            back = parse_pose_stream(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == stream
+        nbytes = sum(a.nbytes for a in (back.frame_index, back.timestamps_ms, back.coords, back.visibility))
+        assert peak - nbytes < 0.5e6, f"{seconds} s: peak {peak / 1e6:.2f} MB for {nbytes / 1e6:.2f} MB of arrays"
+
+
+def block_edge_lines(frames):
+    """The header and body lines of a CSV of ``frames`` frames (edge_case_body values); line i + 1 is lines[i]."""
+    return ["frame,timestamp_ms,id,x,y,z,visibility", *edge_case_body(frames)]
+
+
+def parse_error(path, lines, kind):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(kind) as info:
+        parse_pose_stream(path)
+    assert type(info.value) is kind
+    return str(info.value)
+
+
+def test_parse_errors_at_block_edges(tmp_path):
+    # each file has one fault, placed by the read block: the messages name the lines and frames
+    path, edge = tmp_path / "edge.csv", _READ_BLOCK * 33 + 1  # the last line of the first block
+    n = 2 * _READ_BLOCK + 2
+    lines = block_edge_lines(n)
+    # a bad value on the first line of the second block
+    bad = lines[:edge] + ["32,1064.0,zero,0.1,0.2,0.0,1.0"] + lines[edge + 1 :]
+    assert parse_error(path, bad, ParseError) == f"line {edge + 1}: bad row: invalid literal for int() with base 10: 'zero'"
+    # a frame one row short whose last row is the first line of the second block (two blank lines in front)
+    k = _READ_BLOCK - 1
+    i = 1 + 33 * k  # frame k's first row is lines[i], on line i + 1
+    short = lines[:1] + ["", ""] + lines[1 : i + 10] + lines[i + 11 :]
+    assert short[edge].startswith(f"{k},") and short[edge + 1].startswith(f"{k + 1},")
+    message = f"frame {k}: expected 33 landmarks, got 32 (frame starts on line {i + 3})"
+    assert parse_error(path, short, SchemaError) == message
+    # frame k + 1 numbered k: one frame of 66 rows across the edge
+    relabel = [row.replace(f"{k + 1},{(k + 1) * 33.25!r},", f"{k},{k * 33.25!r},", 1) for row in lines[i + 33 : i + 66]]
+    message = f"frame {k}: expected 33 landmarks, got 66 (frame starts on line {i + 1})"
+    assert parse_error(path, lines[: i + 33] + relabel + lines[i + 66 :], SchemaError) == message
+    # a blank line ends the first block and one ended by a lone \r starts the second: both count as lines,
+    # and the stream reads as without them
+    def with_blanks(body):
+        path.write_bytes(("\n".join(body[: edge - 1]) + "\n\n\r" + "\n".join(body[edge - 1 :]) + "\n").encode())
+
+    with_blanks(lines)
+    ts, coords = edge_case_arrays(n)
+    stream = parse_pose_stream(path)
+    assert np.array_equal(stream.timestamps_ms, ts) and np.array_equal(stream.coords, coords)
+    with_blanks(lines[: edge + 3] + [lines[edge + 3].replace(",0.5,", ",zero,")] + lines[edge + 4 :])
+    with pytest.raises(ParseError) as info:
+        parse_pose_stream(path)
+    assert info.value.line == edge + 6  # lines[edge + 3], two lines down
+
+
+def test_parse_reports_the_earliest_of_several_faults(tmp_path):
+    # frame 1 is one row short, and a later line holds a bad value: the frame comes first in the file
+    lines = block_edge_lines(2 * _READ_BLOCK)
+    del lines[40]
+    lines[-5] = lines[-5].replace(",0.5,", ",zero,")
+    message = "frame 1: expected 33 landmarks, got 32 (frame starts on line 35)"
+    assert parse_error(tmp_path / "two.csv", lines, SchemaError) == message
+    # in JSONL, a duplicate id in frame 3 comes before a fractional frame number on line 40
+    frames = [jsonl_frame(i) for i in range(2 * _READ_BLOCK)]
+    frames[3]["landmarks"][4]["id"] = 5
+    frames[39]["frame"] = 39.5
+    path = tmp_path / "two.jsonl"
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(SchemaError, match="^frame 3: duplicate landmark ids$"):
+        parse_pose_stream(path)
 
 
 def test_select_upper_body_keeps_25():
@@ -560,6 +663,15 @@ def test_validate_reports_visibility_range():
     assert len(findings) == 1
     assert findings[0].frame_index == 1
     assert findings[0].landmark_id == 7
+
+
+def test_validate_reports_non_finite_visibility():
+    # NaN compares false with both bounds; a value is spelled as a float, not as numpy's repr
+    vis = np.ones((3, 33))
+    vis[1, 7], vis[2, 3] = np.nan, np.inf
+    stream = make_stream(np.zeros((3, 33, 3)), visibility=vis)
+    findings = [(f.frame_index, f.landmark_id, f.detail) for f in validate_stream(stream).findings if f.kind == "range"]
+    assert findings == [(1, 7, "visibility nan outside [0, 1]"), (2, 3, "visibility inf outside [0, 1]")]
 
 
 def test_ndjson_suffix_is_jsonl(tmp_path):
