@@ -121,9 +121,13 @@ def cmd_detect(args) -> int:
             (args.window_mean, args.window_sd),
             dims=None if args.dims == "auto" else args.dims,
         )
-        reports = [est.report(include_trace=args.emit_trace) for est in estimates]
+        payload = {
+            "participant": stream.source_id,
+            "timestamps_synthesized": stream.timestamps_synthesized,
+            "estimates": [est.report(include_trace=args.emit_trace) for est in estimates],
+        }
         rows += [(stream.source_id, est.warning_t_ms, est.rt_ms, est.t_max_ms, est.peak_value) for est in estimates]
-        _atomic_json(out / f"{stream.source_id}_detection.json", {"participant": stream.source_id, "estimates": reports})
+        _atomic_json(out / f"{stream.source_id}_detection.json", payload)
 
     lines = ["participant,warning_t_ms,rt_ms,t_max_ms,peak_value"]
     lines += [f"{p},{w!r},{rt!r},{tm!r},{pv!r}" for p, w, rt, tm, pv in rows]

@@ -8,7 +8,6 @@ or per-landmark object.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import warnings
@@ -125,13 +124,14 @@ def parse_pose_stream(
     ``format`` is "csv" or "jsonl"; inferred from the suffix when omitted.
     Each frame must hold exactly 33 distinct landmark ids from 0..32, in any
     order (they are sorted by id), and every frame the same id set; frame
-    numbers and timestamps must be finite and increase strictly. Raises
-    ParseError (bad row, with line number), SchemaError (landmark count /
-    ids / order / timestamps), EmptyStream. The file is read _READ_BLOCK
-    frames at a time and each frame is checked when it ends, so a file with
-    several faults reports the earliest.
-    Missing timestamps are synthesized from ``nominal_fps`` and flagged on
-    the stream.
+    numbers and timestamps must be finite and increase strictly. CSV fields
+    are split on commas, with no quoting. Raises ParseError (bad row, with
+    line number), SchemaError (landmark count / ids / order / timestamps),
+    EmptyStream. The file is read _READ_BLOCK frames at a time and each
+    frame is checked when it ends, so a file with several faults reports the
+    earliest. Every frame has a timestamp or none has, as the CSV header or
+    the first JSONL frame sets; without them, timestamps are synthesized
+    from ``nominal_fps`` and flagged on the stream.
     """
     path = Path(path)
     if not path.exists():
@@ -165,31 +165,26 @@ class _Frames:
     ``add`` checks a block's frames against each other, the last stored frame
     and the first frame's ids, then stores them, each frame's rows in id order.
     It raises the earliest fault: the lowest frame, and within a frame the
-    first of, in order, the reader's row faults, the landmark count, duplicate
-    ids, the frame number's order, a non-finite timestamp, the timestamps'
-    order, ids unlike the first frame's and, in the first frame, an id
-    outside 0..32.
+    first of, in order, the reader's faults (a bad row or value, or a JSONL
+    timestamp unlike the first frame's), the landmark count, duplicate ids,
+    the frame number's order, a non-finite timestamp, the timestamps' order,
+    ids unlike the first frame's and, in the first frame, an id outside
+    0..32. Timestamps are stored if the first frames added have them.
     """
 
-    def __init__(self, capacity: int, timestamps: bool):
+    def __init__(self, capacity: int):
         L = N_LANDMARKS
         self.frame_index = np.empty(capacity, np.int64)
-        self.timestamps_ms = np.empty(capacity) if timestamps else None
+        self.timestamps_ms = None
         self.coords = np.empty((capacity, L, 3))
         self.visibility = np.empty((capacity, L))
         self.n = 0
-        self.first_ids, self.first_in_order = None, False
-        # a timestamp fault waits for the next fault or the end of the file: JSONL keeps
-        # timestamps only when every frame has one, so a later frame without one voids it
-        self.pending = None
-
-    def drop_timestamps(self) -> None:
-        self.timestamps_ms = self.pending = None
+        self.first_ids = None
 
     def add(self, frame_no, ts, line, counts, ids, values, fault=None) -> None:
         """Check and store whole frames.
 
-        Per frame: its number (int64), timestamp (ignored without timestamps),
+        Per frame: its number (int64), timestamp (``ts`` is None without them),
         first line and row count; per row: the id, then x, y, z and visibility
         (an array, or one value for every row). ``fault`` is one the reader
         found after these frames, raised when none of them has an earlier one.
@@ -211,13 +206,13 @@ class _Frames:
             if order is not None:
                 ids = np.take_along_axis(ids, order, axis=1)
             if self.first_ids is None:
-                self.first_ids, self.first_in_order = ids[0].copy(), bool((ids[0] == _IDS).all())
+                self.first_ids = ids[0].copy()
+            if ts is not None and self.timestamps_ms is None:
+                self.timestamps_ms = np.empty(len(self.frame_index))
             # each frame number and timestamp with the stored one before it
             numbers = np.concatenate([self.frame_index[n - 1 : n], frame_no])
-            stamps = None if self.timestamps_ms is None else np.concatenate([self.timestamps_ms[n - 1 : n], ts])
-            clear = order is None and self.first_in_order and (numbers[1:] > numbers[:-1]).all()
-            if not (clear and (stamps is None or (np.isfinite(ts).all() and (stamps[1:] > stamps[:-1]).all()))):
-                self._check(frame_no, numbers, stamps, line, ids)
+            stamps = None if ts is None else np.concatenate([self.timestamps_ms[n - 1 : n], ts])
+            self._check(frame_no, numbers, stamps, line, ids)
             self.frame_index[n : n + m] = frame_no
             if stamps is not None:
                 self.timestamps_ms[n : n + m] = ts
@@ -231,18 +226,18 @@ class _Frames:
                     d[...] = np.take_along_axis(v.reshape(m, L), order, axis=1)
             self.n += m
         if fault is not None:
-            raise self.pending or fault
+            raise fault
 
     def _check(self, frame_no, numbers, stamps, line, ids) -> None:
-        """Raise the earliest fault of a block, or keep it pending if it is a timestamp fault."""
+        """Raise the earliest fault of a block."""
         L, m, first = N_LANDMARKS, len(frame_no), self.first_ids
         outside = np.flatnonzero((first < 0) | (first >= L))
         range_fault = np.zeros(m, bool)
         range_fault[0] = self.n == 0 and outside.size > 0
-        # (bad frames, message of frame k, whether a timestamp check), in check order
+        # (bad frames, message of frame k), in check order
         checks = [
-            ((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids", False),
-            (_not_above(numbers, m), lambda k: f"frame index not strictly increasing at frame {frame_no[k]}", False),
+            ((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids"),
+            (_not_above(numbers, m), lambda k: f"frame index not strictly increasing at frame {frame_no[k]}"),
         ]
         if stamps is not None:
             ts = stamps[len(stamps) - m :]
@@ -250,30 +245,22 @@ class _Frames:
                 (
                     ~np.isfinite(ts),
                     lambda k: f"frame {frame_no[k]}: timestamp_ms {float(ts[k])!r} on line {line[k]} is not finite",
-                    True,
                 ),
-                (_not_above(stamps, m), lambda k: f"timestamps not strictly increasing at frame {frame_no[k]}", True),
+                (_not_above(stamps, m), lambda k: f"timestamps not strictly increasing at frame {frame_no[k]}"),
             ]
         checks += [
-            ((ids != first).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame", False),
+            ((ids != first).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame"),
             (
                 range_fault,
                 lambda k: f"frame {frame_no[0]}: landmark id {int(first[outside[0]])} is outside 0..{L - 1}"
                 f" (frame starts on line {line[0]})",
-                False,
             ),
         ]
-        hit = _earliest(checks)
-        if hit and hit[1]:
-            self.pending = self.pending or SchemaError(hit[0])
-            hit = _earliest([c for c in checks if not c[2]])
-        if hit:
-            raise self.pending or SchemaError(hit[0])
+        if message := _earliest(checks):
+            raise SchemaError(message)
 
     def arrays(self, path: Path):
         """Frame numbers, timestamps (None without them), coordinates and visibility of the stored frames."""
-        if self.pending:
-            raise self.pending
         if not self.n:
             raise EmptyStream(f"{path}: no frames")
         arrays = (self.frame_index, self.timestamps_ms, self.coords, self.visibility)
@@ -290,14 +277,14 @@ def _not_above(values: np.ndarray, m: int) -> np.ndarray:
     return bad
 
 
-def _earliest(checks) -> tuple[str, bool] | None:
-    """Message and flag of the check that holds at the lowest k, the first such check at it; None if none holds."""
+def _earliest(checks) -> str | None:
+    """Message of the check that holds at the lowest k, the first such check at it; None if none holds."""
     hit = None
-    for bad, message, flag in checks:
+    for bad, message in checks:
         ks = np.flatnonzero(bad)
         if ks.size and (hit is None or ks[0] < hit[0]):
-            hit = ks[0], message, flag
-    return hit and (hit[1](int(hit[0])), hit[2])
+            hit = ks[0], message
+    return hit and hit[1](int(hit[0]))
 
 
 # Each reader hands _Frames whole frames, _READ_BLOCK at a time, with the
@@ -311,7 +298,7 @@ def _read_csv(path: Path):
         # numpy warns of a block that reads as no rows: one of blank lines only
         warnings.simplefilter("ignore", UserWarning)
         dtype, usecols = _csv_columns(path, fh.readline())
-        frames = _Frames((n_lines - 1) // N_LANDMARKS, "timestamp_ms" in dtype.names)
+        frames = _Frames((n_lines - 1) // N_LANDMARKS)
         # the rows of the frame the last block ended in, with their lines: the next block may go on with it
         carry = np.empty(0, dtype), np.empty(0, np.int64)
         line_no, n_read = 2, 1
@@ -376,7 +363,7 @@ def _csv_columns(path: Path, header_line: str) -> tuple[np.dtype, list[int]]:
     """The row dtype of the parsed columns, named in row order, and the columns' indices in ``header_line``."""
     if not header_line:
         raise EmptyStream(f"{path}: no frames")
-    header = [h.strip() for h in next(csv.reader([header_line]))]
+    header = [h.strip() for h in header_line.split(",")]
     for name in _CSV_REQUIRED:
         if name not in header:
             raise ParseError(f"missing column {name!r} in header", line=1)
@@ -385,7 +372,7 @@ def _csv_columns(path: Path, header_line: str) -> tuple[np.dtype, list[int]]:
 
 
 def _loadtxt(lines, dtype: np.dtype, usecols: list[int]) -> np.ndarray:
-    return np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=1)
+    return np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
 
 
 def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int]):
@@ -401,7 +388,7 @@ def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int]):
             return table, np.arange(first_line, first_line + len(lines)), None, len(lines)
     except ValueError:
         pass
-    # blank lines, a bad row or a quoted line end: read the other lines, and name each row's line
+    # blank lines or a bad row: read the other lines, and name each row's line
     kept = [i for i, line in enumerate(lines) if line.strip(_BLANK)]
     try:
         table = _loadtxt([lines[i] for i in kept], dtype, usecols)
@@ -415,7 +402,7 @@ def _bad_row(lines, kept, dtype, usecols, first_line, exc) -> tuple[int, ParseEr
     """The first kept line that int()/float() or, alone, loadtxt rejects, and its ParseError; (0, unnamed) if none."""
     for i in kept:
         try:
-            raw = next(csv.reader(lines[i : i + 1]))
+            raw = lines[i].split(",")
             for name, j in zip(dtype.names, usecols):
                 _CSV_TYPES[name](raw[j])
             # a value int()/float() accept but loadtxt does not, such as 1_0
@@ -426,8 +413,9 @@ def _bad_row(lines, kept, dtype, usecols, first_line, exc) -> tuple[int, ParseEr
 
 
 def _read_jsonl(path: Path):
-    frames = _Frames(_count_lines(path), timestamps=True)
-    has_z, line_no, end = True, 0, False
+    frames = _Frames(_count_lines(path))
+    # the first frame sets whether every frame has a timestamp or none has
+    has_z, stamped, line_no, end = True, None, 0, False
     with open(path, encoding="utf-8") as fh:
         while not end:
             frame_no, ts, lines, counts, values = [], [], [], [], array("d")
@@ -452,7 +440,7 @@ def _read_jsonl(path: Path):
                         ]
                     if type(f) not in _NUMBER or type(t) not in _NUMBER:
                         raise TypeError
-                    f, t = float(f), float(t) if "timestamp_ms" in obj else None
+                    f, t = float(f), float(t)
                     values.fromlist(row)  # TypeError for a string or null, and nothing appended
                 except json.JSONDecodeError as exc:
                     fault = ParseError(f"bad JSON: {exc.msg}", line=line_no)
@@ -460,14 +448,20 @@ def _read_jsonl(path: Path):
                 except (KeyError, TypeError, ValueError, OverflowError):
                     fault = ParseError(_frame_fault(obj, has_z), line=line_no)
                     break
+                if stamped is None:
+                    stamped = "timestamp_ms" in obj
+                elif ("timestamp_ms" in obj) != stamped:
+                    fault = SchemaError(
+                        f"frame {json.dumps(obj['frame'])}: timestamp_ms {'missing' if stamped else 'present'}"
+                        f" on line {line_no}, unlike the first frame"
+                    )
+                    break
                 has_z = z
                 frame_no.append(f)
                 ts.append(t)
                 lines.append(line_no)
                 counts.append(len(landmarks))
             end = line_no == first
-            if None in ts:
-                frames.drop_timestamps()
             frame_no, line, counts = np.array(frame_no), np.array(lines, np.int64), np.array(counts, np.int64)
             rows = np.frombuffer(values).reshape(-1, 5)
             # JSON numbers were read as floats: a frame or id with a fraction is rejected, not truncated
@@ -482,7 +476,7 @@ def _read_jsonl(path: Path):
                 fault = ParseError(f"frame {float(frame_no[m])!r} is not an integer", line=int(line[m]))
             r = counts[:m].sum()
             frames.add(
-                frame_no[:m].astype(np.int64), np.array(ts[:m], float), line[:m], counts[:m],
+                frame_no[:m].astype(np.int64), np.array(ts[:m], float) if stamped else None, line[:m], counts[:m],
                 rows[:r, 0], [rows[:r, c] for c in range(1, 5)], fault,
             )
     return frames, has_z
@@ -537,23 +531,25 @@ def write_pose_stream(stream: PoseStream, path: str | Path, format: str | None =
     Floats are written as ``repr`` (CSV, with ``\\r\\n`` line ends) or as
     ``json.dumps`` spells them (JSONL), so every value reads back unchanged.
     A stream without z (``has_z`` false) is written without the z column
-    or key. Frames are formatted _WRITE_BLOCK at a time: each block's
-    floats are spelled by one ``repr``/``json.dumps`` of a list.
+    or key, and one with synthesized timestamps without timestamp_ms, so it
+    reads back as it was read. Frames are formatted _WRITE_BLOCK at a time:
+    each block's floats are spelled by one ``repr``/``json.dumps`` of a list.
     """
     path = Path(path)
     format = _format(path, format)
     L = stream.n_landmarks
     axes = "xyz" if stream.has_z else "xy"
+    stamped = not stream.timestamps_synthesized
     with open(path, "w", newline="" if format == "csv" else None, encoding="utf-8") as fh:
         if format == "csv":
-            fh.write(",".join(name for name in _CSV_TYPES if name != "z" or stream.has_z) + "\r\n")
-            # one frame's rows: its "frame,timestamp_ms," head, the id, then x, y[, z] and visibility
+            names = [n for n in _CSV_TYPES if (n != "z" or stream.has_z) and (n != "timestamp_ms" or stamped)]
+            fh.write(",".join(names) + "\r\n")
+            # one frame's rows: its "frame,[timestamp_ms,]" head, the id, then x, y[, z] and visibility
             template = "".join(f"%s{j}" + ",%s" * (len(axes) + 1) + "\r\n" for j in range(L))
         else:
             landmark = '{"id": %d' + "".join(f', "{a}": %%s' for a in axes) + ', "v": %%s}'
-            template = '{"frame": %%d, "timestamp_ms": %%s, "landmarks": [%s]}\n' % ", ".join(
-                landmark % j for j in range(L)
-            )
+            head = '{"frame": %d, "timestamp_ms": %s, ' if stamped else '{"frame": %d, '
+            template = head + '"landmarks": [%s]}\n' % ", ".join(landmark % j for j in range(L))
         block = _csv_block if format == "csv" else _jsonl_block
         for lo in range(0, stream.n_frames, _WRITE_BLOCK):
             fh.write(block(stream, slice(lo, lo + _WRITE_BLOCK), template))
@@ -574,8 +570,9 @@ def _block_values(stream: PoseStream, frames: slice, lead: int = 0) -> np.ndarra
 def _csv_block(stream: PoseStream, frames: slice, template: str) -> str:
     values = _block_values(stream, frames)
     cells = repr(values.ravel().tolist())[1:-1].split(", ")
-    ts = np.asarray(stream.timestamps_ms[frames], dtype=float)
-    heads = ["%d,%r," % ft for ft in zip(stream.frame_index[frames].tolist(), ts.tolist())]
+    heads = ["%d," % f for f in stream.frame_index[frames].tolist()]
+    if not stream.timestamps_synthesized:
+        heads = ["%s%r," % ht for ht in zip(heads, np.asarray(stream.timestamps_ms[frames], dtype=float).tolist())]
     L = stream.n_landmarks
     k = values.shape[1] // L  # cells per row
     args = [None] * (len(cells) + len(heads) * L)
@@ -586,8 +583,10 @@ def _csv_block(stream: PoseStream, frames: slice, template: str) -> str:
 
 
 def _jsonl_block(stream: PoseStream, frames: slice, template: str) -> str:
-    values = _block_values(stream, frames, lead=1)
-    values[:, 0] = stream.timestamps_ms[frames]
+    lead = 0 if stream.timestamps_synthesized else 1
+    values = _block_values(stream, frames, lead)
+    if lead:
+        values[:, 0] = stream.timestamps_ms[frames]
     spelled = json.dumps(values.ravel().tolist())[1:-1].split(", ")
     w = values.shape[1]
     return "".join(

@@ -180,6 +180,63 @@ def test_canonical_copy_of_an_xy_stream_detects_the_same(tmp_path):
     assert estimates[0]["rt_ms"] == estimates[1]["rt_ms"]
 
 
+def test_synthesized_timestamps_reach_the_canonical_copy_and_the_detection_report(tmp_path):
+    pose_dir = tmp_path / "pose"
+    run_cli("synth", "pose", "--seed", 8, "--out", pose_dir, "--source-id", "NT1",
+            "--warnings", "25000", "--amplitude", "4.0")
+    # drop the timestamp_ms column: a recording without timestamps
+    stamped, bare = pose_dir / "NT1.csv", tmp_path / "bare" / "NT1.csv"
+    bare.parent.mkdir()
+    rows = stamped.read_text().splitlines(True)
+    bare.write_text("".join(",".join(row.split(",")[:1] + row.split(",")[2:]) for row in rows))
+    ingest = tmp_path / "ingest"
+    assert run_cli("ingest", "--input", bare, "--out", ingest, "--canonical") == 0
+    copy = ingest / "NT1_canonical.jsonl"
+    assert '"timestamp_ms"' not in copy.read_text()
+    assert run_cli("ingest", "--input", copy, "--out", tmp_path / "again") == 0
+    payload = json.loads((tmp_path / "again" / "NT1_canonical_validation.json").read_text())
+    assert payload["timestamps_synthesized"] is True
+    assert [f["kind"] for f in payload["findings"]] == ["synthesized_timestamps"]
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nNT1,438\nNT1_canonical,438\n")
+    reports = []
+    for path in (stamped, bare, copy):
+        det = tmp_path / f"det-{path.parent.name}"
+        assert run_cli("detect", "--input", path, "--baselines", baselines, "--warnings", "25000", "--out", det) == 0
+        assert [len(row.split(",")) for row in (det / "detection_summary.csv").read_text().splitlines()] == [5, 5]
+        reports.append(json.loads((det / f"{path.stem}_detection.json").read_text()))
+    assert [r["timestamps_synthesized"] for r in reports] == [False, True, True]
+    assert len({r["estimates"][0]["rt_ms"] for r in reports}) == 1
+
+
+@pytest.mark.parametrize(
+    "strip, message",
+    [
+        (-1, "frame 749: timestamp_ms missing on line 750, unlike the first frame"),
+        (0, "frame 1: timestamp_ms present on line 2, unlike the first frame"),
+    ],
+)
+def test_detect_jsonl_with_one_frame_unlike_the_first_in_timestamps_fails(tmp_path, capsys, strip, message):
+    # 25 fps, 30 s, a burst 300 ms after the warning at 20 s; with the last or the first frame's stamp gone,
+    # timestamps synthesized at the default 30 fps for the whole file would put the reaction about 300 ms late
+    pose_dir = tmp_path / "pose"
+    run_cli("synth", "pose", "--seed", 1, "--fps", 25, "--duration", 30000, "--warnings", 20000, "--onset", 300,
+            "--amplitude", "4.0", "--format", "jsonl", "--source-id", "F25", "--out", pose_dir)
+    path = pose_dir / "F25.jsonl"
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nF25,438\n")
+    detect = ["detect", "--input", path, "--baselines", baselines, "--warnings", 20000, "--out"]
+    assert run_cli(*detect, tmp_path / "ok") == 0
+    lines = path.read_text().splitlines(True)
+    lines[strip] = re.sub(r'"timestamp_ms": [^,]*, ', "", lines[strip])
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "det"
+    assert run_cli(*detect, out) == 1
+    assert capsys.readouterr().err == f"error [SchemaError]: {message}\n"
+    assert not (out / "detection_summary.csv").exists()
+
+
 def test_srt_command(tmp_path):
     log = tmp_path / "log.txt"
     log.write_text(

@@ -294,18 +294,18 @@ def test_parse_jsonl_values_must_be_numbers(tmp_path, key, value):
     assert str(info.value) == f'line 2: "{key}": {json.dumps(value)} is not a number'
 
 
-def test_parse_jsonl_timestamp_faults_are_void_without_timestamps(tmp_path):
-    # timestamps are kept only when every frame has one, so frame 2's NaN stamp is no fault once frame 40 has none
+def test_parse_jsonl_reports_the_earliest_timestamp_fault(tmp_path):
+    # every frame has a timestamp or none has: frame 40 without one is a fault, reported after frame 2's NaN
     frames = [jsonl_frame(i) for i in range(2 * _READ_BLOCK)]
     frames[2]["timestamp_ms"] = float("nan")
     del frames[40]["timestamp_ms"]
-    path = tmp_path / "void.jsonl"
-    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
-    stream = parse_pose_stream(path)
-    assert stream.timestamps_synthesized
-    frames[40]["timestamp_ms"] = 40 * 33.25
+    path = tmp_path / "stamps.jsonl"
     path.write_text("".join(json.dumps(f) + "\n" for f in frames))
     with pytest.raises(SchemaError, match="^frame 2: timestamp_ms nan on line 3 is not finite$"):
+        parse_pose_stream(path)
+    frames[2]["timestamp_ms"] = 2 * 33.25
+    path.write_text("".join(json.dumps(f) + "\n" for f in frames))
+    with pytest.raises(SchemaError, match="^frame 40: timestamp_ms missing on line 41, unlike the first frame$"):
         parse_pose_stream(path)
 
 
@@ -373,6 +373,22 @@ def test_parse_synthesizes_missing_timestamps(tmp_path):
     assert np.allclose(stream.timestamps_ms, np.arange(4) * 1000.0 / 30.0)
     kinds = {f.kind for f in validate_stream(stream).findings}
     assert "synthesized_timestamps" in kinds
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_written_copy_of_synthesized_timestamps_reads_back_synthesized(tmp_path, fmt):
+    # the writer leaves the synthesized stamps out, so the copy is read at the nominal fps as the original was
+    path = tmp_path / "nots.csv"
+    lines = ["frame,id,x,y,z,visibility"] + [f"{i},{j},{i + j / 100},0.2,0.0,1.0" for i in range(60) for j in range(33)]
+    path.write_text("\n".join(lines) + "\n")
+    stream = parse_pose_stream(path, nominal_fps=25.0)
+    copy = tmp_path / "copy" / f"nots.{fmt}"
+    copy.parent.mkdir()
+    write_pose_stream(stream, copy)
+    assert "timestamp_ms" not in copy.read_text()
+    back = parse_pose_stream(copy, nominal_fps=25.0)
+    assert back.timestamps_synthesized and back == stream
+    assert [f.kind for f in validate_stream(back).findings] == ["synthesized_timestamps"]
 
 
 def test_parse_nonmonotonic_timestamps(tmp_path):
@@ -581,6 +597,47 @@ def test_parse_errors_at_block_edges(tmp_path):
     with pytest.raises(ParseError) as info:
         parse_pose_stream(path)
     assert info.value.line == edge + 6  # lines[edge + 3], two lines down
+
+
+@pytest.mark.parametrize("at", [40, _READ_BLOCK * 33 + 2])  # inside the first block; the second block's first line
+def test_parse_csv_quoted_value_is_a_bad_row(tmp_path, at):
+    # CSV has no quoting: a quoted number is a bad row, named by its line
+    lines = block_edge_lines(2 * _READ_BLOCK + 2)
+    fields = lines[at - 1].split(",")
+    fields[3] = f'"{fields[3]}"'
+    lines[at - 1] = ",".join(fields)
+    message = parse_error(tmp_path / "quoted.csv", lines, ParseError)
+    assert message.startswith(f"line {at}: bad row: could not convert string to float: '\"")
+
+
+def gather_case(n, shuffled):
+    """``n`` frames (frame, timestamp, rows of id, x, y, z, v) whose frame ``shuffled`` has its rows out of id
+    order, and the frame numbers, timestamps, coordinates and visibility they parse to."""
+    ts, coords = edge_case_arrays(n)
+    rows = [[(j, *xyz, 0.25) for j, xyz in enumerate(frame)] for frame in coords.tolist()]
+    rows[shuffled] = [rows[shuffled][j] for j in np.random.default_rng(5).permutation(33)]
+    frames = list(zip(range(n), ts.tolist(), rows))
+    return frames, (np.arange(n, dtype=np.int64), ts, coords, np.full((n, 33), 0.25))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_parse_gathers_a_shuffled_frame_in_a_later_block(tmp_path, fmt):
+    # three read blocks and a bit; the first frame is in id order, frame 70 (third block) is not
+    frames, expected = gather_case(3 * _READ_BLOCK + 5, 70)
+    path = tmp_path / f"gather.{fmt}"
+    if fmt == "csv":
+        write_csv(path, frames)
+    else:
+        objs = [
+            {"frame": i, "timestamp_ms": t, "landmarks": [dict(zip(("id", "x", "y", "z", "v"), r)) for r in rows]}
+            for i, t, rows in frames
+        ]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    stream = parse_pose_stream(path)
+    got = (stream.frame_index, stream.timestamps_ms, stream.coords, stream.visibility)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
 
 
 def test_parse_reports_the_earliest_of_several_faults(tmp_path):
