@@ -16,13 +16,13 @@ change/base, their median with a bootstrap 95% interval, the number of pairs
 the change won (by the metric's direction in BENCHMARK.json), and each
 side's median and quartiles, with three verdicts: ``gain_resolved`` (over
 at least 10 pairs, the change won at least 9/10 of them and the medians
-differ, its way, by more than the base's interquartile range), ``regressed`` (the change's
-median is worse than the base's by more than the metric's ``bound`` in
-BENCHMARK.json, a fraction of the base median) and ``unresolved`` (the base's
-interquartile range is wider than that bound of its median, so a regression
-within the bound cannot be told from its spread, unless every change run beats
-every base run). The same summary is kept for ``import_s``, the
-seconds a run spent importing rtkit (the ``imports`` figure of the line
+differ, its way, by more than the wider of the two sides' interquartile
+ranges), ``regressed`` (the change's median is worse than the base's by more
+than the metric's ``bound`` in BENCHMARK.json, a fraction of the base median)
+and ``unresolved`` (the base's interquartile range is wider than that bound
+of its median, so a regression within the bound cannot be told from its
+spread, unless every change run beats every base run). The same summary is
+kept for ``import_s``, the seconds a run spent importing rtkit (the ``imports`` figure of the line
 bench/run.py prints before its JSON), so a move in ``setup_s`` splits into
 imports and set-ups. It also holds each run's operations attempted and failed,
 with their totals per side; the machine, both revisions and the seeds. Each
@@ -128,17 +128,17 @@ def bootstrap_median_ci(ratios: list[float], rng: random.Random) -> list[float]:
 
 def verdict(summary: dict, bound: float | None, base_runs: list[float], change_runs: list[float]) -> dict:
     """``gain_resolved``: over at least MIN_PAIRS pairs, the change won at least 9/10 of them and its median beats
-    the base median by more than the base's interquartile range; ``regressed``: its median is worse than the base
-    median by more than ``bound`` (a fraction of the base median; None when the metric has no bound);
-    ``unresolved``: the base's interquartile range is wider than ``bound`` of its median and some change run does
-    not beat every base run (None without a bound)."""
-    (q1, base, q3), change = summary["base_quartiles"], summary["change_quartiles"][1]
+    the base median by more than the wider of the two sides' interquartile ranges; ``regressed``: its median is
+    worse than the base median by more than ``bound`` (a fraction of the base median; None when the metric has no
+    bound); ``unresolved``: the base's interquartile range is wider than ``bound`` of its median and some change
+    run does not beat every base run (None without a bound)."""
+    (q1, base, q3), (c1, change, c3) = summary["base_quartiles"], summary["change_quartiles"]
     higher = summary["better"] == "higher"
     gain = change - base if higher else base - change
     sweep = min(change_runs) > max(base_runs) if higher else max(change_runs) < min(base_runs)
     return {
         "gain_resolved": summary["pairs"] >= MIN_PAIRS and 10 * summary["change_wins"] >= 9 * summary["pairs"]
-        and gain > q3 - q1,
+        and gain > max(q3 - q1, c3 - c1),
         "regressed": None if bound is None else -gain > bound * abs(base),
         "unresolved": None if bound is None else q3 - q1 > bound * abs(base) and not sweep,
     }

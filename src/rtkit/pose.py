@@ -86,6 +86,7 @@ class PoseStream:
             self.source_id == other.source_id
             and self.nominal_fps == other.nominal_fps
             and self.has_z == other.has_z
+            and self.timestamps_synthesized == other.timestamps_synthesized
             and np.array_equal(self.frame_index, other.frame_index)
             and np.array_equal(self.timestamps_ms, other.timestamps_ms)
             and np.array_equal(self.coords, other.coords)

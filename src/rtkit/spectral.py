@@ -31,8 +31,6 @@ from .kinematics import VelocitySeries
 GAUS2_NORM = 2.0 / (np.sqrt(3.0) * np.pi**0.25)
 WAVELET_TAG = "gaussian-2nd-order"
 SUPPORT_RADIUS = 5.0  # wavelet support truncated at +/- 5 scales
-# scale maximizing |W| for a Gaussian pulse of width sigma is sqrt(5)*sigma
-PULSE_SIGMA_TO_SCALE = np.sqrt(5.0)
 # log-spaced scale grid (frames) from 2 frames up to the 30-frame search window
 DEFAULT_SCALES = np.geomspace(2.0, 30.0, 32)
 DEFAULT_SCALES.flags.writeable = False

@@ -45,7 +45,7 @@ def check_cell(setting: Setting, modality: str) -> None:
         raise ValueError(f"VisionE cells are HAV by definition, got modality {modality!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReactionRecord:
     participant: str
     setting: Setting
@@ -61,14 +61,14 @@ class ReactionRecord:
             raise ValueError("VisionE records are vision-method HAV by definition")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleSummary:
     n: int
     mean_ms: float
     sd_ms: float | None  # sample SD (n-1); undefined for n < 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TTestResult:
     t: float
     df: float

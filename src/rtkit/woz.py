@@ -27,6 +27,7 @@ from .errors import ParseError, TransportError
 LOG_HEADER = "# woz-log v1"
 DEFAULT_MISS_MS = 5000
 MODALITIES = ("V", "AV", "HV", "HAV")
+_MODALITY = {m: m for m in MODALITIES}  # a parsed TRIG keeps the shared string, not its own copy
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class ListTransport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerEvent:
     seq: int
     scheduled_ms: int
@@ -155,7 +156,7 @@ class TriggerEvent:
         return f"TRIG {self.seq} {self.modality} {self.scheduled_ms} {self.dispatched_ms}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AckEvent:
     seq: int
     recv_ms: int
@@ -164,7 +165,7 @@ class AckEvent:
         return f"ACK {self.seq} {self.recv_ms}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseEvent:
     seq: int
     response_ms: int
@@ -173,7 +174,7 @@ class ResponseEvent:
         return f"RESP {self.seq} {self.response_ms}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SrtEvent:
     """One paired trigger/response measurement."""
 
@@ -213,7 +214,7 @@ def write_event_log(events, path: str | Path) -> None:
     Path(path).write_text(format_event_log(events), encoding="utf-8")
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedLog:
     """Event-log contents: triggers, acks and paired SRT measurements."""
 
@@ -254,9 +255,10 @@ def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> Parse
             parts = line.split()
             try:
                 if parts[0] == "TRIG" and len(parts) == 5:
-                    if parts[2] not in MODALITIES:
+                    modality = _MODALITY.get(parts[2])
+                    if modality is None:
                         raise ParseError(f"unknown modality {parts[2]!r} in {line!r}", line=line_no)
-                    trig = TriggerEvent(int(parts[1]), int(parts[3]), int(parts[4]), parts[2])
+                    trig = TriggerEvent(int(parts[1]), int(parts[3]), int(parts[4]), modality)
                     if trig.seq in by_seq:
                         raise ParseError(f"repeated trigger seq {trig.seq}", line=line_no)
                     by_seq[trig.seq] = trig
@@ -308,7 +310,7 @@ def parse_event_log(path: str | Path, max_rt_ms: int = DEFAULT_MISS_MS) -> Parse
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class LatencyReport:
     budget_ms: float
     latencies_ms: dict[int, int]  # seq -> ack latency

@@ -17,13 +17,15 @@ from scipy import stats as sstats
 from conftest import make_series, peak_time, two_sided_energy
 from rtkit.cli import main as cli_main
 from rtkit.detector import build_kernel, convolve, default_window
-from rtkit.spectral import PULSE_SIGMA_TO_SCALE, cwt_gaus2, fft_magnitude
+from rtkit.spectral import cwt_gaus2, fft_magnitude
 from rtkit.stats import Setting, paired_ttest, welch_ttest
 from rtkit.synth import REFERENCE_SRT_CELLS, REFERENCE_VISION_CELLS, gen_srt_dataset
 from rtkit.trials import run_detection_trial
 from rtkit.woz import ListTransport, SimClock, builtin_scripts, format_event_log, latency_budget_check, run_scenario, simulate_acks
 
 FRAME_MS = 1000.0 / 30.0
+# scale maximizing |W| for a Gaussian pulse of width sigma is sqrt(5)*sigma
+PULSE_SIGMA_TO_SCALE = np.sqrt(5.0)
 
 
 @contextlib.contextmanager

@@ -375,6 +375,18 @@ def test_parse_synthesizes_missing_timestamps(tmp_path):
     assert "synthesized_timestamps" in kinds
 
 
+def test_synthesized_and_recorded_timestamps_are_not_equal(tmp_path):
+    path = tmp_path / "nots.csv"
+    lines = ["frame,id,x,y,z,visibility"] + [f"{i},{j},0.5,0.2,0.0,1.0" for i in range(4) for j in range(33)]
+    path.write_text("\n".join(lines) + "\n")
+    synthesized = parse_pose_stream(path, nominal_fps=30.0)
+    recorded = dataclasses.replace(synthesized, timestamps_synthesized=False)
+    assert synthesized.timestamps_synthesized
+    assert np.array_equal(recorded.timestamps_ms, synthesized.timestamps_ms)
+    assert recorded != synthesized and synthesized != recorded
+    assert recorded == dataclasses.replace(recorded)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_written_copy_of_synthesized_timestamps_reads_back_synthesized(tmp_path, fmt):
     # the writer leaves the synthesized stamps out, so the copy is read at the nominal fps as the original was

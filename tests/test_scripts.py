@@ -96,6 +96,33 @@ def test_bench_ab_verdicts_on_canned_pairs():
     assert unresolved(wide, [65.0 - i for i in range(10)], "higher") is True
 
 
+def test_bench_ab_gain_needs_both_sides_spread_on_committed_records():
+    import json
+    import random
+
+    bench_ab = load_bench_ab()
+
+    def summary(record, workload, metric, direction):
+        runs = json.loads((ROOT / record).read_text(encoding="utf-8"))["workloads"][workload]["runs"]
+        pairs = [{s: {"metrics": {metric: {"value": run[s][metric]}}} for s in ("base", "change")} for run in runs]
+        return bench_ab.summarize(pairs, {metric: direction}, random.Random(0))[metric]
+
+    def iqr(quartiles):
+        return quartiles[2] - quartiles[0]
+
+    # vision_session memory: gains of 3.2 and 3.6 MB, wider than either side's spread
+    for record in ("BENCH_19.json", "BENCH_20.json"):
+        got = summary(record, "vision_session", "peak_rss_mb", "lower")
+        assert got["change_wins"] == 10 and got["gain_resolved"] is True
+    # detector_trials time in BENCH_21 (no detector code changed): 9/10 pairs won and a gain wider than the
+    # base's spread, but not than the change's, so no longer a resolved gain
+    for metric, direction in (("ops_per_s", "higher"), ("op_ms_p50", "lower")):
+        got = summary("BENCH_21.json", "detector_trials", metric, direction)
+        gain = abs(got["change_quartiles"][1] - got["base_quartiles"][1])
+        assert got["change_wins"] == 9 and iqr(got["base_quartiles"]) < gain < iqr(got["change_quartiles"])
+        assert got["gain_resolved"] is False
+
+
 def test_bench_ab_code_digest_covers_src_and_bench_only(tmp_path):
     bench_ab = load_bench_ab()
     a, b = tmp_path / "a", tmp_path / "b"

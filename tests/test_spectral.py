@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import make_series, two_sided_energy
 from rtkit.errors import BadScales, NonUniformSampling
 from rtkit.spectral import (
-    PULSE_SIGMA_TO_SCALE,
     cwt_gaus2,
     DEFAULT_SCALES,
     fft_magnitude,
@@ -16,6 +15,9 @@ from rtkit.spectral import (
     write_cwt,
     write_spectrum_csv,
 )
+
+# scale maximizing |W| for a Gaussian pulse of width sigma is sqrt(5)*sigma
+PULSE_SIGMA_TO_SCALE = np.sqrt(5.0)
 
 
 # --- FFT magnitude ----------------------------------------------------------

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -285,3 +288,19 @@ def test_records_csv_roundtrip(tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert read_records_csv(path) == records
+
+
+def test_value_classes_are_slotted_and_copy_round_trip():
+    record = ReactionRecord("P07", Setting.VR_WT, "HAV", 438.5)
+    values = [record, summarize([410.0, 455.5, 438.0]), welch_ttest([1.0, 2.0, 4.0], [2.0, 3.5, 6.0])]
+    assert [type(v).__name__ for v in values] == ["ReactionRecord", "SampleSummary", "TTestResult"]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+            assert type(back) is type(value) and back == value and repr(back) == repr(value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.rt_ms = 1.0
+    # replace runs the field checks again
+    assert dataclasses.replace(record, rt_ms=500.0).rt_ms == 500.0
+    with pytest.raises(ValueError, match="rt_ms must be positive"):
+        dataclasses.replace(record, rt_ms=0.0)

@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import gc
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +11,10 @@ from hypothesis import strategies as st
 
 from rtkit.errors import ParseError, TransportError
 from rtkit.woz import (
+    MODALITIES,
     AckEvent,
     ListTransport,
+    ResponseEvent,
     ScenarioScript,
     SimClock,
     TriggerEvent,
@@ -281,3 +289,60 @@ def test_latency_reports_orphan_and_repeated_acks():
     assert report.orphan_acks == [acks[1]]
     assert report.repeated_acks == [acks[2]]
     assert report.all_pass
+
+
+# --- slotted value classes ------------------------------------------------------
+
+
+def write_study_log(path, script_name, seed):
+    """One session log as a study writes it: the script's triggers, their acks and a response to each, in time order."""
+    triggers = run_scenario(script_by_name(script_name), SimClock(), ListTransport())
+    acks = simulate_acks(triggers, seed=seed)
+    responses = [ResponseEvent(t.seq, t.dispatched_ms + 350 + 7 * seed + t.seq) for t in triggers]
+    timed = [(t.dispatched_ms, 0, t) for t in triggers] + [(a.recv_ms, 1, a) for a in acks]
+    timed += [(r.response_ms, 2, r) for r in responses]
+    write_event_log([e for *_, e in sorted(timed, key=lambda x: x[:2])], path)
+    return path
+
+
+def test_event_objects_are_slotted_and_copy_round_trip(tmp_path):
+    log = parse_event_log(write_study_log(tmp_path / "hav.log", "HAV", 3))
+    report = latency_budget_check(log.triggers, log.acks)
+    values = [log.triggers[0], log.acks[0], log.responses[0], log.srt_events[0], log, report]
+    assert [type(v).__name__ for v in values] == [
+        "TriggerEvent", "AckEvent", "ResponseEvent", "SrtEvent", "ParsedLog", "LatencyReport"
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+            assert type(back) is type(value) and back == value and repr(back) == repr(value)
+    trig = values[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trig.seq = 9
+    assert dataclasses.replace(trig, seq=9) == TriggerEvent(9, trig.scheduled_ms, trig.dispatched_ms, "HAV")
+
+
+def test_parsed_trigger_modality_is_the_shared_string(tmp_path):
+    for i, name in enumerate(MODALITIES):
+        log = parse_event_log(write_study_log(tmp_path / f"{name}.log", name, 1))
+        assert len(log.triggers) == 5 and all(t.modality is MODALITIES[i] for t in log.triggers)
+
+
+def test_parsed_logs_hold_little_memory(tmp_path):
+    # 5 TRIG, 5 ACK and 5 RESP lines per log: slotted events and shared modality strings hold about 3.3 kB per
+    # parsed log and its latency report; with a __dict__ per object and a string per trigger it was 4.5 kB
+    paths = [write_study_log(tmp_path / f"{i}_{name}.log", name, i) for i in range(10) for name in MODALITIES]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = []
+        for path in paths:
+            log = parse_event_log(path)
+            held.append((log, latency_budget_check(log.triggers, log.acks)))
+        gc.collect()
+        per_log = (tracemalloc.get_traced_memory()[0] - before) / len(paths)
+    finally:
+        tracemalloc.stop()
+    assert all(len(log.triggers) == len(log.acks) == len(log.srt_events) == 5 for log, _ in held)
+    assert per_log < 3800, f"{per_log:.0f} B held per parsed log"
