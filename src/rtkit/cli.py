@@ -104,6 +104,12 @@ def cmd_detect(args) -> int:
     inputs = [p for suffix in pose.POSE_SUFFIXES for p in sorted(src.glob("*" + suffix))] if src.is_dir() else [src]
     if not inputs:
         raise EmptyStream(f"no pose files under {args.input}")
+    # a stream's participant is its file stem: two files of one stem would write one report
+    stems: dict[str, Path] = {}
+    for path in inputs:
+        if path.stem in stems:
+            raise PairingError(f"{stems[path.stem]} and {path} are both participant {path.stem!r}")
+        stems[path.stem] = path
     baselines = _read_baselines(args.baselines)
     warnings = [float(w) for w in args.warnings.split(",")]
     out.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,9 @@ The velocity series is the signal every detector in this package operates
 on: per frame pair, the summed Euclidean landmark displacement divided by
 the frame duration. Units are input-units per second (per-frame values are
 ``v / fps``). No smoothing is applied here; the matched filter does that.
+The series is computed in blocks of ``_BLOCK`` frame pairs, so its working
+memory does not grow with the stream; every sample has the same bits as
+the whole-array formula.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import numpy as np
 
 from .errors import GapError, LengthError
 from .pose import PoseStream, off_nominal
+
+# frame pairs per block of the velocity working set
+_BLOCK = 64
 
 
 @dataclass
@@ -51,6 +57,12 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
     when any timestamp delta is outside +/-50% of the nominal frame duration
     or is NaN; callers may subdivide the stream and retry. The stream's
     arrays are only read, so they may be read-only views.
+
+    The squared steps of ``_BLOCK`` frame pairs at a time go through two
+    (block, landmarks) buffers allocated once, and each block's row sums go
+    into its slice of the displacement array. Each sample's arithmetic and
+    row sum are those of the whole-array formula, so no bit depends on the
+    block size.
     """
     if dims is None:
         dims = "xyz" if stream.has_z else "xy"
@@ -66,15 +78,25 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
             f"{stream.source_id}: {len(frames)} frame gap(s), first before frame {frames[0]}",
             frame_indices=frames,
         )
-    # squared steps summed axis by axis into one (frames - 1, landmarks)
-    # array: x + y, then + z, the order numpy sums a short last axis in
+    # squared steps summed axis by axis into a (block, landmarks) buffer:
+    # x + y, then + z, the order numpy sums a short last axis in
     coords = stream.coords
-    sq = None
-    for d in range(len(dims)):
-        step = coords[1:, :, d] - coords[:-1, :, d]
-        step *= step
-        sq = step if sq is None else np.add(sq, step, out=sq)
-    disp = np.sqrt(sq, out=sq).sum(axis=1)
+    n = stream.n_frames - 1
+    rows = min(_BLOCK, n)
+    acc = np.empty((rows, coords.shape[1]))
+    work = np.empty_like(acc)
+    disp = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        sq, step = acc[: hi - lo], work[: hi - lo]
+        np.subtract(coords[lo + 1 : hi + 1, :, 0], coords[lo:hi, :, 0], out=sq)
+        sq *= sq
+        for d in range(1, len(dims)):
+            np.subtract(coords[lo + 1 : hi + 1, :, d], coords[lo:hi, :, d], out=step)
+            step *= step
+            sq += step
+        np.sqrt(sq, out=sq)
+        sq.sum(axis=1, out=disp[lo:hi])
     v = disp / (deltas / 1000.0)
     fps = 1000.0 / float(np.median(deltas))
     return VelocitySeries(

@@ -85,9 +85,13 @@ def two_sided_p(t: float, df: float) -> float:
     scipy. Against 50-digit mpmath, for df in [1, 1e4] and |t| <= 300, the
     relative error is at most 3e-11 where p < 1 - 1e-6. Nearer 1 the error
     comes from rounding x itself and reaches 4e-7 at df = 1e4, t = 1e-6.
+    An infinite t gives 0; a NaN t (a NaN or infinite sample value) gives
+    NaN, as scipy's t-tests do.
     """
-    if df <= 0 or not math.isfinite(t):
-        return 0.0 if not math.isfinite(t) else float("nan")
+    if math.isinf(t):
+        return 0.0
+    if df <= 0 or math.isnan(t):
+        return float("nan")
     from scipy.special import betainc
 
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))

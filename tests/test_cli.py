@@ -591,6 +591,21 @@ def test_detect_directory_reads_every_pose_suffix(tmp_path):
     assert rows[1].split(",")[1:] == rows[2].split(",")[1:]
 
 
+def test_detect_directory_with_two_files_of_one_participant_fails(tmp_path, capsys):
+    # S.csv and S.jsonl are both participant S: one report would overwrite the other
+    pose_dir, det_dir = tmp_path / "pose", tmp_path / "det"
+    for fmt in ("csv", "jsonl"):
+        argv = ["--duration", 20000, "--warnings", 8000, "--format", fmt]
+        assert run_cli("synth", "pose", "--seed", 5, "--out", pose_dir, "--source-id", "S", *argv) == 0
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nS,438\n")
+    argv = ["--input", pose_dir, "--baselines", baselines, "--warnings", 8000, "--out", det_dir]
+    assert run_cli("detect", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [PairingError]: {pose_dir / 'S.csv'} and {pose_dir / 'S.jsonl'} are both participant 'S'")
+    assert not det_dir.exists()
+
+
 def test_stats_unknown_modality_is_parse_error(tmp_path, capsys):
     srt_dir = tmp_path / "srt"
     run_cli("synth", "srt", "--seed", 3, "--out", srt_dir)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_stream
 from rtkit.errors import GapError
-from rtkit.kinematics import velocity_series
+from rtkit.kinematics import _BLOCK, velocity_series
 from rtkit.pose import select_upper_body
 from rtkit.synth import BurstSpec, NoiseSpec, gen_pose_stream
 
@@ -38,14 +40,55 @@ def test_displacement_matches_bruteforce(seed, dims):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_velocity_bitwise_equals_diff_formula(seed, dims):
     # the per-axis accumulation adds the squared steps in the order of a
-    # sum over the last axis, so the bits match, not just the value
+    # sum over the last axis, so the bits match, not just the value, at
+    # every block edge; the streams are read-only, their visibility broadcast
     burst = BurstSpec(400.0, 54.75, 2.0)
     stream, _ = gen_pose_stream(20000, 30.0, [8000.0], [burst], NoiseSpec(0.004), seed)
-    for s in (stream, select_upper_body(stream)):
-        c = s.coords[:, :, : len(dims)]
-        dt = np.diff(s.timestamps_ms)
-        expected = np.sqrt((np.diff(c, axis=0) ** 2).sum(axis=2)).sum(axis=1) / (dt / 1000)
-        assert np.array_equal(velocity_series(s, dims=dims).v, expected)
+    stream.coords.flags.writeable = False
+    for pairs in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, stream.n_frames - 1):
+        head = _head(stream, pairs + 1)
+        for s in (head, select_upper_body(head)):
+            c = s.coords[:, :, : len(dims)]
+            dt = np.diff(s.timestamps_ms)
+            expected = np.sqrt((np.diff(c, axis=0) ** 2).sum(axis=2)).sum(axis=1) / (dt / 1000)
+            assert np.array_equal(velocity_series(s, dims=dims).v, expected), (pairs, s.n_landmarks)
+
+
+def _head(stream, frames):
+    """The first ``frames`` frames of ``stream``, as views."""
+    return dataclasses.replace(
+        stream,
+        frame_index=stream.frame_index[:frames],
+        timestamps_ms=stream.timestamps_ms[:frames],
+        coords=stream.coords[:frames],
+        visibility=stream.visibility[:frames],
+    )
+
+
+@pytest.mark.parametrize("frame", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+def test_nan_coordinate_at_a_block_edge_spoils_only_its_two_samples(frame):
+    # frame f is in the pairs (f - 1, f) and (f, f + 1), samples f - 1 and f
+    coords = np.random.default_rng(7).normal(size=(3 * _BLOCK + 1, 33, 3))
+    coords[frame, 20, 1] = np.nan
+    v = velocity_series(make_stream(coords)).v
+    assert np.flatnonzero(np.isnan(v)).tolist() == [frame - 1, frame]
+
+
+@pytest.mark.parametrize("body", ["full", "upper"])
+def test_velocity_memory_does_not_grow_with_the_stream(body):
+    # beyond the arrays it returns, a series takes under 0.25 MB at 60 s and at 120 s
+    for seconds in (60, 120):
+        stream, _ = gen_pose_stream(seconds * 1000.0, 30.0, [], [], NoiseSpec(0.004), seed=11)
+        if body == "upper":
+            stream = select_upper_body(stream)
+        tracemalloc.start()
+        try:
+            series = velocity_series(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = series.v.nbytes + series.t_ms.nbytes + series.frame_index.nbytes
+        assert peak - outputs < 250_000, f"{seconds} s: {(peak - outputs) / 1e6:.2f} MB beyond the outputs"
 
 
 def test_static_subject_all_zero(static_stream):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from rtkit.errors import DegenerateSample, MissingCell, PairingError, ParseError
 from rtkit.stats import (
@@ -178,6 +179,25 @@ def test_paired_depends_only_on_differences(seed):
     r1 = paired_ttest(a + offsets, b + offsets)
     assert r1.t == pytest.approx(r0.t, rel=1e-6, abs=1e-9)
     assert r1.p == pytest.approx(r0.p, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([1.0, 2.0, math.nan], [3.0, 4.0, 5.0]), ([1.0, 2.0, math.inf], [3.0, 4.0, 5.0]),
+     ([math.inf, 2.0, 3.0], [3.0, 4.0, 5.0]), ([1.0, 2.0, 3.0], [3.0, 4.0, -math.inf])],
+)
+def test_non_finite_sample_gives_nan_like_scipy(a, b):
+    # a NaN t is no evidence: p is NaN, not the 0.0 of an infinite t
+    with np.errstate(invalid="ignore"):
+        cases = [(welch_ttest(a, b), sstats.ttest_ind(a, b, equal_var=False)), (paired_ttest(a, b), sstats.ttest_rel(a, b))]
+    for ours, ref in cases:
+        assert math.isnan(ref.statistic) and math.isnan(ref.pvalue)
+        assert math.isnan(ours.t) and math.isnan(ours.p)
+
+
+def test_p_of_infinite_and_nan_t():
+    assert two_sided_p(math.inf, 5.0) == two_sided_p(-math.inf, 5.0) == 0.0
+    assert math.isnan(two_sided_p(math.nan, 5.0))
 
 
 def test_p_monotone_in_t():
