@@ -186,11 +186,11 @@ def _load_script(path: Path) -> woz.ScenarioScript:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        name, duration_ms, triggers = obj["name"], int(obj["duration_ms"]), []
+        name, duration_ms, triggers = obj["name"], _whole_ms(obj["duration_ms"], "duration_ms"), []
         for i, entry in enumerate(obj["triggers"]):
             try:
                 t, m = entry
-                triggers.append((int(t), str(m)))
+                triggers.append((_whole_ms(t, "time"), str(m)))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: trigger {i} {json.dumps(entry)}: {exc}") from None
         return woz.ScenarioScript(name=name, duration_ms=duration_ms, triggers=tuple(triggers))
@@ -198,6 +198,15 @@ def _load_script(path: Path) -> woz.ScenarioScript:
         raise ParseError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _whole_ms(value, what: str) -> int:
+    """A JSON number without a fraction, as an int; ValueError for any other value (true, a string, 1000.7)."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not a whole number of ms")
+    return value
 
 
 def cmd_srt(args) -> int:

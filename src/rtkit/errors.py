@@ -48,7 +48,7 @@ class FlatSignal(ToolkitError):
 
 
 class NonFiniteSignal(ToolkitError):
-    """Windowed convolution holds NaN or infinite values; names the velocity frames."""
+    """NaN or infinite values in a windowed convolution or a spectral transform's input; names the velocity frames."""
 
     def __init__(self, message: str, frame_indices: list[int] | None = None):
         super().__init__(message)

@@ -2,7 +2,7 @@
 
 A stream is held column-wise in numpy arrays, from the parsed file to the
 detector. A file is read a block of frames at a time straight into the
-stream's arrays, each block checked as whole arrays; there is no per-frame
+stream's arrays, its frames checked in file order; there is no per-frame
 or per-landmark object.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -128,17 +129,22 @@ def parse_pose_stream(
     numbers and timestamps must be finite and increase strictly. CSV fields
     are split on commas, with no quoting. Raises ParseError (bad row, with
     line number), SchemaError (landmark count / ids / order / timestamps),
-    EmptyStream. The file is read _READ_BLOCK frames at a time and each
-    frame is checked when it ends, so a file with several faults reports the
-    earliest. Every frame has a timestamp or none has, as the CSV header or
-    the first JSONL frame sets; without them, timestamps are synthesized
+    EmptyStream. The file is read _READ_BLOCK frames at a time and its
+    frames are checked in file order, so a file with several faults reports
+    the earliest. Every frame has a timestamp or none has, as the CSV header
+    or the first JSONL frame sets; without them, timestamps are synthesized
     from ``nominal_fps`` and flagged on the stream.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    read = _read_csv if _format(path, format) == "csv" else _read_jsonl
-    frames, has_z = read(path)
+    csv, n_lines = _format(path, format) == "csv", _count_lines(path)
+    frames = _Frames((n_lines - 1) // N_LANDMARKS if csv else n_lines)
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        # numpy warns of a CSV block that reads as no rows: one of blank lines only
+        warnings.simplefilter("ignore", UserWarning)
+        for has_z, *block in _csv_blocks(fh, path) if csv else _jsonl_blocks(fh):
+            frames.add(*block)
     frame_no, ts, coords, visibility = frames.arrays(path)
     return PoseStream(
         source_id=path.stem,
@@ -163,14 +169,13 @@ def _format(path: Path, format: str | None) -> str:
 class _Frames:
     """A stream's arrays, allocated for ``capacity`` frames and filled with whole frames, a block at a time.
 
-    ``add`` checks a block's frames against each other, the last stored frame
-    and the first frame's ids, then stores them, each frame's rows in id order.
-    It raises the earliest fault: the lowest frame, and within a frame the
-    first of, in order, the reader's faults (a bad row or value, or a JSONL
-    timestamp unlike the first frame's), the landmark count, duplicate ids,
-    the frame number's order, a non-finite timestamp, the timestamps' order,
-    ids unlike the first frame's and, in the first frame, an id outside
-    0..32. Timestamps are stored if the first frames added have them.
+    ``add`` checks each frame of a block in file order, against the frame
+    before it and the first frame's ids, and raises at the first fault: in
+    order, the landmark count, duplicate ids, the frame number's order, a
+    non-finite timestamp, the timestamps' order, ids unlike the first
+    frame's and, in the first frame, an id outside 0..32. A block without a
+    fault is stored, each frame's rows in id order. Timestamps are stored if
+    the first frames added have them.
     """
 
     def __init__(self, capacity: int):
@@ -182,83 +187,64 @@ class _Frames:
         self.n = 0
         self.first_ids = None
 
-    def add(self, frame_no, ts, line, counts, ids, values, fault=None) -> None:
+    def add(self, frame_no, ts, line, counts, ids, values) -> None:
         """Check and store whole frames.
 
         Per frame: its number (int64), timestamp (``ts`` is None without them),
         first line and row count; per row: the id, then x, y, z and visibility
-        (an array, or one value for every row). ``fault`` is one the reader
-        found after these frames, raised when none of them has an earlier one.
+        (an array, or one value for every row).
         """
-        L, n = N_LANDMARKS, self.n
-        short = np.flatnonzero(counts != L)
-        if short.size:
-            k = int(short[0])
-            fault = SchemaError(
-                f"frame {frame_no[k]}: expected {L} landmarks, got {counts[k]} (frame starts on line {line[k]})"
-            )
-            frame_no, line, ts = frame_no[:k], line[:k], ts if ts is None else ts[:k]
-            ids, values = ids[: k * L], [v[: k * L] if np.ndim(v) else v for v in values]
-        m = len(frame_no)
-        if m:
-            ids = np.asarray(ids, dtype=float).reshape(m, L)
-            # a block whose rows are in id order is copied as it is
-            order = None if (ids == _IDS).all() else np.argsort(ids, axis=1)
-            if order is not None:
-                ids = np.take_along_axis(ids, order, axis=1)
-            if self.first_ids is None:
-                self.first_ids = ids[0].copy()
-            if ts is not None and self.timestamps_ms is None:
-                self.timestamps_ms = np.empty(len(self.frame_index))
-            # each frame number and timestamp with the stored one before it
-            numbers = np.concatenate([self.frame_index[n - 1 : n], frame_no])
-            stamps = None if ts is None else np.concatenate([self.timestamps_ms[n - 1 : n], ts])
-            self._check(frame_no, numbers, stamps, line, ids)
-            self.frame_index[n : n + m] = frame_no
+        L, n, m = N_LANDMARKS, self.n, len(frame_no)
+        if not m:
+            return
+        # the frames before a short one fill whole rows of L ids; the loop stops at the short one
+        ids = np.asarray(ids[: len(ids) // L * L], dtype=float).reshape(-1, L)
+        # a block whose rows are in id order is copied as it is
+        order = None if (ids == _IDS).all() else np.argsort(ids, axis=1)
+        if order is not None:
+            ids = np.take_along_axis(ids, order, axis=1)
+        if self.first_ids is None:
+            self.first_ids = ids[:1].copy()
+        first = self.first_ids
+        duplicate = (np.diff(ids, axis=1) == 0).any(axis=1).tolist()
+        differs = (ids != first).any(axis=1).tolist()
+        last_no = self.frame_index[n - 1] if n else -math.inf
+        last_ts = self.timestamps_ms[n - 1] if n and ts is not None else -math.inf
+        stamps = None if ts is None else ts.tolist()
+        for k, (f, count, at) in enumerate(zip(frame_no.tolist(), counts.tolist(), line.tolist())):
+            if count != L:
+                raise SchemaError(f"frame {f}: expected {L} landmarks, got {count} (frame starts on line {at})")
+            if duplicate[k]:
+                raise SchemaError(f"frame {f}: duplicate landmark ids")
+            if f <= last_no:
+                raise SchemaError(f"frame index not strictly increasing at frame {f}")
             if stamps is not None:
-                self.timestamps_ms[n : n + m] = ts
-            dest = [self.coords[n : n + m, :, c] for c in range(3)] + [self.visibility[n : n + m]]
-            for d, v in zip(dest, values):
-                if np.ndim(v) == 0:
-                    d[...] = v
-                elif order is None:
-                    d[...] = v.reshape(m, L)
-                else:
-                    d[...] = np.take_along_axis(v.reshape(m, L), order, axis=1)
-            self.n += m
-        if fault is not None:
-            raise fault
-
-    def _check(self, frame_no, numbers, stamps, line, ids) -> None:
-        """Raise the earliest fault of a block."""
-        L, m, first = N_LANDMARKS, len(frame_no), self.first_ids
-        outside = np.flatnonzero((first < 0) | (first >= L))
-        range_fault = np.zeros(m, bool)
-        range_fault[0] = self.n == 0 and outside.size > 0
-        # (bad frames, message of frame k), in check order
-        checks = [
-            ((np.diff(ids, axis=1) == 0).any(axis=1), lambda k: f"frame {frame_no[k]}: duplicate landmark ids"),
-            (_not_above(numbers, m), lambda k: f"frame index not strictly increasing at frame {frame_no[k]}"),
-        ]
-        if stamps is not None:
-            ts = stamps[len(stamps) - m :]
-            checks += [
-                (
-                    ~np.isfinite(ts),
-                    lambda k: f"frame {frame_no[k]}: timestamp_ms {float(ts[k])!r} on line {line[k]} is not finite",
-                ),
-                (_not_above(stamps, m), lambda k: f"timestamps not strictly increasing at frame {frame_no[k]}"),
-            ]
-        checks += [
-            ((ids != first).any(axis=1), lambda k: f"frame {frame_no[k]}: landmark ids differ from first frame"),
-            (
-                range_fault,
-                lambda k: f"frame {frame_no[0]}: landmark id {int(first[outside[0]])} is outside 0..{L - 1}"
-                f" (frame starts on line {line[0]})",
-            ),
-        ]
-        if message := _earliest(checks):
-            raise SchemaError(message)
+                if not math.isfinite(t := stamps[k]):
+                    raise SchemaError(f"frame {f}: timestamp_ms {t!r} on line {at} is not finite")
+                if t <= last_ts:
+                    raise SchemaError(f"timestamps not strictly increasing at frame {f}")
+                last_ts = t
+            if differs[k]:
+                raise SchemaError(f"frame {f}: landmark ids differ from first frame")
+            if not n + k and (outside := first[(first < 0) | (first >= L)]).size:
+                raise SchemaError(
+                    f"frame {f}: landmark id {int(outside[0])} is outside 0..{L - 1} (frame starts on line {at})"
+                )
+            last_no = f
+        self.frame_index[n : n + m] = frame_no
+        if ts is not None:
+            if self.timestamps_ms is None:
+                self.timestamps_ms = np.empty(len(self.frame_index))
+            self.timestamps_ms[n : n + m] = ts
+        dest = [self.coords[n : n + m, :, c] for c in range(3)] + [self.visibility[n : n + m]]
+        for d, v in zip(dest, values):
+            if np.ndim(v) == 0:
+                d[...] = v
+            elif order is None:
+                d[...] = v.reshape(m, L)
+            else:
+                d[...] = np.take_along_axis(v.reshape(m, L), order, axis=1)
+        self.n += m
 
     def arrays(self, path: Path):
         """Frame numbers, timestamps (None without them), coordinates and visibility of the stored frames."""
@@ -271,80 +257,51 @@ class _Frames:
         return arrays
 
 
-def _not_above(values: np.ndarray, m: int) -> np.ndarray:
-    """For each of the last ``m`` values, whether it is at most the one before it (False for the first value)."""
-    bad = np.zeros(m, bool)
-    bad[m + 1 - len(values) :] = values[1:] <= values[:-1]
-    return bad
+# Each reader yields blocks of whole frames, _READ_BLOCK at a time, each
+# with whether the file has z so far and the arguments of _Frames.add.
+# A reader that finds a fault yields the frames before it, then raises it.
+# Neither keeps a Python object per line or row beyond one block.
 
 
-def _earliest(checks) -> str | None:
-    """Message of the check that holds at the lowest k, the first such check at it; None if none holds."""
-    hit = None
-    for bad, message in checks:
-        ks = np.flatnonzero(bad)
-        if ks.size and (hit is None or ks[0] < hit[0]):
-            hit = ks[0], message
-    return hit and hit[1](int(hit[0]))
-
-
-# Each reader hands _Frames whole frames, _READ_BLOCK at a time, with the
-# first fault it finds in them and the frames before that fault. Neither
-# keeps a Python object per line or row beyond one block.
-
-
-def _read_csv(path: Path):
-    n_lines = _count_lines(path)
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-        # numpy warns of a block that reads as no rows: one of blank lines only
-        warnings.simplefilter("ignore", UserWarning)
-        dtype, usecols = _csv_columns(path, fh.readline())
-        frames = _Frames((n_lines - 1) // N_LANDMARKS)
-        # the rows of the frame the last block ended in, with their lines: the next block may go on with it
-        carry = np.empty(0, dtype), np.empty(0, np.int64)
-        line_no, n_read = 2, 1
-        while n_read:
-            table, row_line, fault, n_read = _csv_rows(islice(fh, _READ_BLOCK * N_LANDMARKS), line_no, dtype, usecols)
-            line_no += n_read
-            # the tables as bytes: numpy joins structured arrays field by field, several times slower
-            table = np.concatenate([carry[0].view(np.uint8), table.view(np.uint8)]).view(dtype)
-            row_line = np.concatenate([carry[1], row_line])
-            carry = _add_csv_frames(frames, table, row_line, fault, end=not n_read)
-    return frames, "z" in dtype.names
-
-
-def _add_csv_frames(frames: _Frames, table: np.ndarray, row_line: np.ndarray, fault, end: bool):
-    """Add the whole frames of ``table``, rows read from the lines ``row_line``; return the rest, with their lines.
-
-    A frame is whole once the next one starts, or at the end of the file. A
-    bad row (``fault``) may belong to the frame before it, so that frame is
-    not added.
-    """
-    frame = table["frame"]
-    starts = np.flatnonzero(np.concatenate([[len(table) > 0], frame[1:] != frame[:-1]]))
-    counts = np.diff(np.concatenate([starts, [len(table)]]))
-    whole = len(starts) if end else max(len(starts) - 1, 0)
-    stop = starts[whole] if whole < len(starts) else len(table)
-    rest = table[stop:].copy(), row_line[stop:].copy()
-    rows, starts, counts = table[:stop], starts[:whole], counts[:whole]
-    names, ts = table.dtype.names, None
-    if "timestamp_ms" in names:
-        row_ts = rows["timestamp_ms"]
-        ts = row_ts[starts]
-        first = np.repeat(ts, counts)
-        differs = row_ts != first
-        if differs.any() and (differs := np.flatnonzero(differs & ~(np.isnan(row_ts) & np.isnan(first)))).size:
-            r = differs[0]
-            fault = SchemaError(
-                f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {row_line[r]}"
-                f" differs from the frame's first row ({float(first[r])!r})"
-            )
-            whole = np.searchsorted(starts, r, "right") - 1
-            rows, starts, counts, ts = rows[: starts[whole]], starts[:whole], counts[:whole], ts[:whole]
-    z = rows["z"] if "z" in names else 0.0
-    values = [rows["x"], rows["y"], z, rows["visibility"] if "visibility" in names else 1.0]
-    frames.add(rows["frame"][starts], ts, row_line[starts], counts, rows["id"], values, fault)
-    return rest
+def _csv_blocks(fh, path: Path):
+    dtype, usecols = _csv_columns(path, fh.readline())
+    names = dtype.names
+    # the rows of the frame the last block ended in, with their lines: the next block may go on with it
+    carry = np.empty(0, dtype), np.empty(0, np.int64)
+    line_no, n_read = 2, 1
+    while n_read:
+        table, row_line, fault, n_read = _csv_rows(islice(fh, _READ_BLOCK * N_LANDMARKS), line_no, dtype, usecols)
+        line_no += n_read
+        # the tables as bytes: numpy joins structured arrays field by field, several times slower
+        table = np.concatenate([carry[0].view(np.uint8), table.view(np.uint8)]).view(dtype)
+        row_line = np.concatenate([carry[1], row_line])
+        # a frame is whole once the next one starts, or at the end of the file; a bad row (``fault``)
+        # may belong to the frame before it, so that frame is not yielded
+        frame = table["frame"]
+        starts = np.flatnonzero(np.concatenate([[len(table) > 0], frame[1:] != frame[:-1]]))
+        counts = np.diff(np.concatenate([starts, [len(table)]]))
+        whole = max(len(starts) - 1, 0) if n_read else len(starts)
+        stop = starts[whole] if whole < len(starts) else len(table)
+        carry = table[stop:].copy(), row_line[stop:].copy()
+        rows, starts, counts, ts = table[:stop], starts[:whole], counts[:whole], None
+        if "timestamp_ms" in names:
+            row_ts = rows["timestamp_ms"]
+            ts = row_ts[starts]
+            first = np.repeat(ts, counts)
+            differs = row_ts != first
+            if differs.any() and (differs := np.flatnonzero(differs & ~(np.isnan(row_ts) & np.isnan(first)))).size:
+                r = differs[0]
+                fault = SchemaError(
+                    f"frame {frame[r]}: timestamp_ms {float(row_ts[r])!r} on line {row_line[r]}"
+                    f" differs from the frame's first row ({float(first[r])!r})"
+                )
+                whole = np.searchsorted(starts, r, "right") - 1
+                rows, starts, counts, ts = rows[: starts[whole]], starts[:whole], counts[:whole], ts[:whole]
+        z = rows["z"] if "z" in names else 0.0
+        values = [rows["x"], rows["y"], z, rows["visibility"] if "visibility" in names else 1.0]
+        yield "z" in names, rows["frame"][starts], ts, row_line[starts], counts, rows["id"], values
+        if fault is not None:
+            raise fault
 
 
 def _count_lines(path: Path) -> int:
@@ -413,74 +370,73 @@ def _bad_row(lines, kept, dtype, usecols, first_line, exc) -> tuple[int, ParseEr
     return 0, ParseError(f"bad row: {exc}")
 
 
-def _read_jsonl(path: Path):
-    frames = _Frames(_count_lines(path))
+def _jsonl_blocks(fh):
     # the first frame sets whether every frame has a timestamp or none has
     has_z, stamped, line_no, end = True, None, 0, False
-    with open(path, encoding="utf-8") as fh:
-        while not end:
-            frame_no, ts, lines, counts, values = [], [], [], [], array("d")
-            fault, first = None, line_no
-            for line_no, line in enumerate(islice(fh, _READ_BLOCK), line_no + 1):
-                line = line.strip()
-                if not line:
-                    continue
+    while not end:
+        frame_no, ts, lines, counts, values = [], [], [], [], array("d")
+        fault, first = None, line_no
+        for line_no, line in enumerate(islice(fh, _READ_BLOCK), line_no + 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                # array('d') takes a bool as 0 or 1: a line that may hold one is checked value by value
+                if _may_hold_bool(line) and _frame_fault(obj, has_z):
+                    raise ValueError
+                f, t, landmarks = obj["frame"], obj.get("timestamp_ms", 0.0), obj["landmarks"]
+                z = has_z
                 try:
-                    obj = json.loads(line)
-                    # array('d') takes a bool as 0 or 1: a line that may hold one is checked value by value
-                    if _may_hold_bool(line) and _frame_fault(obj, has_z):
-                        raise ValueError
-                    f, t, landmarks = obj["frame"], obj.get("timestamp_ms", 0.0), obj["landmarks"]
-                    z = has_z
-                    try:
-                        row = list(chain.from_iterable(map(_LANDMARK_KEYS, landmarks)))
-                    except KeyError:  # a landmark without z or v
-                        z = has_z and all("z" in lm for lm in landmarks)
-                        row = [
-                            v for lm in landmarks for v in (lm["id"], lm["x"], lm["y"], lm.get("z", 0.0), lm.get("v", 1.0))
-                        ]
-                    if type(f) not in _NUMBER or type(t) not in _NUMBER:
-                        raise TypeError
-                    f, t = float(f), float(t)
-                    values.fromlist(row)  # TypeError for a string or null, and nothing appended
-                except json.JSONDecodeError as exc:
-                    fault = ParseError(f"bad JSON: {exc.msg}", line=line_no)
-                    break
-                except (KeyError, TypeError, ValueError, OverflowError):
-                    fault = ParseError(_frame_fault(obj, has_z), line=line_no)
-                    break
-                if stamped is None:
-                    stamped = "timestamp_ms" in obj
-                elif ("timestamp_ms" in obj) != stamped:
-                    fault = SchemaError(
-                        f"frame {json.dumps(obj['frame'])}: timestamp_ms {'missing' if stamped else 'present'}"
-                        f" on line {line_no}, unlike the first frame"
-                    )
-                    break
-                has_z = z
-                frame_no.append(f)
-                ts.append(t)
-                lines.append(line_no)
-                counts.append(len(landmarks))
-            end = line_no == first
-            frame_no, line, counts = np.array(frame_no), np.array(lines, np.int64), np.array(counts, np.int64)
-            rows = np.frombuffer(values).reshape(-1, 5)
-            # JSON numbers were read as floats: a frame or id with a fraction is rejected, not truncated
-            m = len(frame_no)
-            bad = np.flatnonzero(~_whole(rows[:, 0]))
-            if bad.size:
-                m = np.searchsorted(np.cumsum(counts), bad[0], "right")
-                fault = ParseError(f"landmark id {float(rows[bad[0], 0])!r} is not an integer", line=int(line[m]))
-            bad = np.flatnonzero(~_whole(frame_no[: m + 1]))
-            if bad.size:
-                m = bad[0]
-                fault = ParseError(f"frame {float(frame_no[m])!r} is not an integer", line=int(line[m]))
-            r = counts[:m].sum()
-            frames.add(
-                frame_no[:m].astype(np.int64), np.array(ts[:m], float) if stamped else None, line[:m], counts[:m],
-                rows[:r, 0], [rows[:r, c] for c in range(1, 5)], fault,
-            )
-    return frames, has_z
+                    row = list(chain.from_iterable(map(_LANDMARK_KEYS, landmarks)))
+                except KeyError:  # a landmark without z or v
+                    z = has_z and all("z" in lm for lm in landmarks)
+                    row = [
+                        v for lm in landmarks for v in (lm["id"], lm["x"], lm["y"], lm.get("z", 0.0), lm.get("v", 1.0))
+                    ]
+                if type(f) not in _NUMBER or type(t) not in _NUMBER:
+                    raise TypeError
+                f, t = float(f), float(t)
+                values.fromlist(row)  # TypeError for a string or null, and nothing appended
+            except json.JSONDecodeError as exc:
+                fault = ParseError(f"bad JSON: {exc.msg}", line=line_no)
+                break
+            except (KeyError, TypeError, ValueError, OverflowError):
+                fault = ParseError(_frame_fault(obj, has_z), line=line_no)
+                break
+            if stamped is None:
+                stamped = "timestamp_ms" in obj
+            elif ("timestamp_ms" in obj) != stamped:
+                fault = SchemaError(
+                    f"frame {json.dumps(obj['frame'])}: timestamp_ms {'missing' if stamped else 'present'}"
+                    f" on line {line_no}, unlike the first frame"
+                )
+                break
+            has_z = z
+            frame_no.append(f)
+            ts.append(t)
+            lines.append(line_no)
+            counts.append(len(landmarks))
+        end = line_no == first
+        frame_no, line, counts = np.array(frame_no), np.array(lines, np.int64), np.array(counts, np.int64)
+        rows = np.frombuffer(values).reshape(-1, 5)
+        # JSON numbers were read as floats: a frame or id with a fraction is rejected, not truncated
+        m = len(frame_no)
+        bad = np.flatnonzero(~_whole(rows[:, 0]))
+        if bad.size:
+            m = np.searchsorted(np.cumsum(counts), bad[0], "right")
+            fault = ParseError(f"landmark id {float(rows[bad[0], 0])!r} is not an integer", line=int(line[m]))
+        bad = np.flatnonzero(~_whole(frame_no[: m + 1]))
+        if bad.size:
+            m = bad[0]
+            fault = ParseError(f"frame {float(frame_no[m])!r} is not an integer", line=int(line[m]))
+        r = counts[:m].sum()
+        yield (
+            has_z, frame_no[:m].astype(np.int64), np.array(ts[:m], float) if stamped else None, line[:m], counts[:m],
+            rows[:r, 0], [rows[:r, c] for c in range(1, 5)],
+        )
+        if fault is not None:
+            raise fault
 
 
 def _may_hold_bool(line: str) -> bool:

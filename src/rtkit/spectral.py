@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadScales, LengthError, NonUniformSampling
+from .errors import BadScales, LengthError, NonFiniteSignal, NonUniformSampling
 from .kinematics import VelocitySeries
 
 GAUS2_NORM = 2.0 / (np.sqrt(3.0) * np.pi**0.25)
@@ -38,12 +38,19 @@ DEFAULT_SCALES.flags.writeable = False
 _UNIFORM_RTOL = 1e-6
 
 
-def _check_uniform(t_ms: np.ndarray) -> float:
-    deltas = np.diff(t_ms)
+def _check_series(series: VelocitySeries) -> None:
+    """NonUniformSampling for uneven timestamps; NonFiniteSignal naming the frames of NaN or infinite samples."""
+    deltas = np.diff(series.t_ms)
     dt = float(np.median(deltas))
     if np.any(np.abs(deltas - dt) > _UNIFORM_RTOL * dt):
         raise NonUniformSampling("series timestamps are not uniformly spaced")
-    return dt
+    bad = np.flatnonzero(~np.isfinite(series.v))
+    if bad.size:
+        frames = series.frame_index[bad].tolist()
+        raise NonFiniteSignal(
+            f"{series.source_id}: {len(frames)} non-finite velocity sample(s), first at frame {frames[0]}",
+            frame_indices=frames,
+        )
 
 
 @dataclass
@@ -57,10 +64,14 @@ class MagnitudeSpectrum:
 
 
 def fft_magnitude(series: VelocitySeries, remove_mean: bool = False) -> MagnitudeSpectrum:
-    """Magnitude of the one-sided discrete Fourier transform of the series; LengthError under 2 samples."""
+    """Magnitude of the one-sided discrete Fourier transform of the series.
+
+    LengthError under 2 samples; ``_check_series``'s errors for uneven or
+    non-finite samples, which would spread NaN into every bin.
+    """
     if len(series) < 2:
         raise LengthError(f"{series.source_id}: {len(series)} velocity sample(s); a spectrum needs at least 2")
-    _check_uniform(series.t_ms)
+    _check_series(series)
     x = np.asarray(series.v, dtype=float)
     if remove_mean:
         x = x - x.mean()
@@ -93,12 +104,13 @@ def cwt_gaus2(series: VelocitySeries, scales) -> CwtResult:
 
     Direct inner-product evaluation: for each scale the sampled, zero-mean
     wavelet row is correlated with the signal (zero padding at the edges;
-    those columns are flagged in ``boundary_mask``).
+    those columns are flagged in ``boundary_mask``). Raises BadScales, and
+    ``_check_series``'s errors for uneven or non-finite samples.
     """
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 1 or scales.size == 0 or np.any(scales <= 0) or np.any(np.diff(scales) <= 0):
         raise BadScales("scales must be a positive, strictly ascending 1-D sequence")
-    _check_uniform(series.t_ms)
+    _check_series(series)
     x = np.asarray(series.v, dtype=float)
     n = len(x)
     coeffs = np.empty((len(scales), n), dtype=float)

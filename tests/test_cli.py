@@ -271,6 +271,23 @@ def test_spectral_command(tmp_path):
     assert (out / "S1_spectrum.csv").exists()
 
 
+def test_spectral_non_finite_coordinate_fails(tmp_path, capsys):
+    # a NaN x at frame 900, landmark 3 spoils the velocity samples of frames 900 and 901: nothing is exported
+    run_cli("synth", "pose", "--seed", 7, "--out", tmp_path / "pose", "--source-id", "P7")
+    path = tmp_path / "pose" / "P7.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[1 + 900 * 33 + 3].split(",")
+    assert (fields[0], fields[2]) == ("900", "3")
+    fields[3] = "nan"
+    lines[1 + 900 * 33 + 3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "spec"
+    assert run_cli("spectral", "--input", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error [NonFiniteSignal]: P7: 2 non-finite velocity sample(s), first at frame 900\n"
+    assert not list(out.glob("P7_*"))
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 11, "rho": 0.25}))
@@ -530,6 +547,26 @@ def test_scenario_bad_script_is_parse_error(tmp_path, capsys, script, match):
     err = capsys.readouterr().err
     assert err.startswith("error [ParseError]: ")
     assert str(path) in err and match in err
+    assert not (tmp_path / "s.log").exists()
+
+
+@pytest.mark.parametrize("value", [True, 1000.7, "5000", None, float("nan")])
+@pytest.mark.parametrize("where", ["duration_ms", "trigger 1"])
+def test_scenario_times_are_whole_json_numbers(tmp_path, capsys, where, value):
+    # int() took true as 1 ms, cut 1000.7 to 1000 and read "5000"; each is a bad value, named where it is
+    script = {"name": "s", "duration_ms": 50000, "triggers": [[1000, "V"], [2000.0, "AV"]]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(script))
+    assert run_cli("scenario", "--script", path, "--out", tmp_path / "ok.log") == 0
+    if where == "duration_ms":
+        script["duration_ms"] = value
+    else:
+        script["triggers"][1][0] = value
+    path.write_text(json.dumps(script))
+    assert run_cli("scenario", "--script", path, "--out", tmp_path / "s.log") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [ParseError]: {path}: ")
+    assert f"{where} " in err and f"{value!r} is not a whole number of ms" in err
     assert not (tmp_path / "s.log").exists()
 
 

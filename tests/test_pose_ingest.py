@@ -669,6 +669,53 @@ def test_parse_reports_the_earliest_of_several_faults(tmp_path):
         parse_pose_stream(path)
 
 
+# a frame's checks in their documented order; each test case puts two adjacent kinds into one frame
+FRAME_FAULTS = ["count", "duplicate", "frame order", "non-finite timestamp", "timestamp order", "ids differ"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("k", [1, _READ_BLOCK - 1, _READ_BLOCK])  # inside the first block, on its edge
+@pytest.mark.parametrize("first, second", zip(FRAME_FAULTS, FRAME_FAULTS[1:]))
+def test_parse_reports_a_frames_faults_in_check_order(tmp_path, fmt, k, first, second):
+    frames = simple_frames(2 * _READ_BLOCK + 2)
+    fno, ts, rows = frames[k]
+    rows = list(rows)
+    for kind in (first, second):
+        if kind == "count":
+            del rows[32]
+        elif kind == "duplicate":
+            rows[5] = (6, *rows[5][1:])
+        elif kind == "frame order":
+            fno = k - 2
+        elif kind == "non-finite timestamp":
+            ts = float("-inf")  # also not above the frame before
+        elif kind == "timestamp order":
+            ts = min(ts, frames[k - 1][1])
+        else:
+            rows[32] = (40, *rows[32][1:])
+    frames[k] = (fno, ts, rows)
+    line = 2 + 33 * k if fmt == "csv" else k + 1
+    message = {
+        "count": f"frame {fno}: expected 33 landmarks, got 32 (frame starts on line {line})",
+        "duplicate": f"frame {fno}: duplicate landmark ids",
+        "frame order": f"frame index not strictly increasing at frame {fno}",
+        "non-finite timestamp": f"frame {fno}: timestamp_ms {ts!r} on line {line} is not finite",
+        "timestamp order": f"timestamps not strictly increasing at frame {fno}",
+    }[first]
+    path = tmp_path / f"two.{fmt}"
+    if fmt == "csv":
+        write_csv(path, frames)
+    else:
+        objs = [
+            {"frame": f, "timestamp_ms": t, "landmarks": [dict(zip(("id", "x", "y", "z", "v"), r)) for r in lms]}
+            for f, t, lms in frames
+        ]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    with pytest.raises(SchemaError) as info:
+        parse_pose_stream(path)
+    assert str(info.value) == message
+
+
 def test_select_upper_body_keeps_25():
     stream = make_stream(np.random.default_rng(0).normal(size=(5, 33, 3)))
     upper = select_upper_body(stream)

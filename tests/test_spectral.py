@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_series, two_sided_energy
-from rtkit.errors import BadScales, NonUniformSampling
+from rtkit.errors import BadScales, NonFiniteSignal, NonUniformSampling
 from rtkit.spectral import (
     cwt_gaus2,
     DEFAULT_SCALES,
@@ -69,6 +69,18 @@ def test_fft_nonuniform_sampling():
     series.t_ms[20] += 10.0
     with pytest.raises(NonUniformSampling):
         fft_magnitude(series)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("transform", [fft_magnitude, lambda s: cwt_gaus2(s, DEFAULT_SCALES)])
+def test_non_finite_series_is_refused(transform, bad):
+    # a NaN would spread into every spectrum bin and every CWT column its wavelet reaches
+    v = np.ones(60)
+    v[[0, 17, 18, 59]] = bad
+    with pytest.raises(NonFiniteSignal) as info:
+        transform(make_series(v, source_id="P"))
+    assert info.value.frame_indices == [1, 18, 19, 60]
+    assert str(info.value) == "P: 4 non-finite velocity sample(s), first at frame 1"
 
 
 # --- CWT ---------------------------------------------------------------------
