@@ -8,7 +8,10 @@ random numbers, and they require --seed. The files this module writes
 itself (run_config.json, the JSON reports, the summary CSVs and scenario
 logs) are written atomically (temp file + rename); the pose, record,
 spectrum, CWT and grid files come from the library writers and are not.
-Inputs are never modified.
+Inputs are never modified. A subcommand that fails writes nothing, not even
+--out: it checks and computes before it writes. Only detect, which writes a
+report per stream, keeps those of the streams before one that fails to parse
+or detect (every input's baseline is checked first).
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     stream = pose.parse_pose_stream(args.input, format=args.format, nominal_fps=args.fps)
     report = pose.validate_stream(stream)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
     payload = {
         "source_id": stream.source_id,
@@ -111,15 +113,14 @@ def cmd_detect(args) -> int:
             raise PairingError(f"{stems[path.stem]} and {path} are both participant {path.stem!r}")
         stems[path.stem] = path
     baselines = _read_baselines(args.baselines)
+    if missing := [path.stem for path in inputs if path.stem not in baselines]:
+        raise PairingError(f"{args.baselines}: no baseline reaction time for participant {missing[0]!r}")
     warnings = [float(w) for w in args.warnings.split(",")]
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
 
     rows = []
     for path in inputs:
         stream = pose.parse_pose_stream(path, nominal_fps=args.fps)
-        if stream.source_id not in baselines:
-            raise PairingError(f"{args.baselines}: no baseline reaction time for participant {stream.source_id!r}")
         estimates = detector.detect(
             stream,
             warnings,
@@ -146,18 +147,15 @@ def cmd_spectral(args) -> int:
     out = Path(args.out)
     stream = pose.parse_pose_stream(args.input, nominal_fps=args.fps)
     series = kinematics.velocity_series(pose.select_upper_body(stream), dims=None if args.dims == "auto" else args.dims)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, args)
-
     spec = spectral.fft_magnitude(series, remove_mean=args.remove_mean)
-    spectral.write_spectrum_csv(spec, out / f"{stream.source_id}_spectrum.csv")
-
     if args.scales:
         lo, hi, count = args.scales.split(":")
         scales = np.geomspace(float(lo), float(hi), int(count))
     else:
         scales = spectral.DEFAULT_SCALES
     cwt = spectral.cwt_gaus2(series, scales)
+    _echo_config(out, args)
+    spectral.write_spectrum_csv(spec, out / f"{stream.source_id}_spectrum.csv")
     spectral.write_cwt(cwt, out / f"{stream.source_id}_cwt.npy", out / f"{stream.source_id}_cwt.json")
     print(f"{stream.source_id}: spectrum ({spec.n} samples) and CWT ({len(scales)} scales) written")
     return 0
@@ -212,7 +210,6 @@ def _whole_ms(value, what: str) -> int:
 def cmd_srt(args) -> int:
     out = Path(args.out)
     log = woz.parse_event_log(args.log, max_rt_ms=args.max_rt)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
 
     lines = ["trigger_seq,trigger_ms,response_ms,rt_ms,is_miss"]
@@ -261,19 +258,17 @@ def cmd_stats(args) -> int:
     records = stats.read_records_csv(args.records)
     if not records:
         raise EmptyStream(f"{args.records}: no records")
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, args)
-
     summaries = stats.summary_table(records)
-    stats.write_summary_csv(summaries, out / "summary.csv")
     grid = stats.significance_grid(records)
-    stats.write_settings_grid_csv(grid, out / "grid_settings.csv")
-    stats.write_modalities_grid_csv(grid, out / "grid_modalities.csv")
-
     paired_lines = ["comparison,n,t,df,p"]
     if paired := stats.vision_vs_srt(records):
         n, res = paired
         paired_lines.append(f"VisionE-vs-VR-WT-HAV,{n},{res.t!r},{res.df!r},{res.p!r}")
+
+    _echo_config(out, args)
+    stats.write_summary_csv(summaries, out / "summary.csv")
+    stats.write_settings_grid_csv(grid, out / "grid_settings.csv")
+    stats.write_modalities_grid_csv(grid, out / "grid_modalities.csv")
     _atomic_write(out / "paired.csv", "\n".join(paired_lines) + "\n")
     print(f"stats over {len(records)} record(s): summary, two grids, paired report")
     return 0
@@ -296,7 +291,6 @@ def cmd_synth_pose(args) -> int:
         seed=args.seed,
         source_id=args.source_id,
     )
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
     path = out / f"{args.source_id}.{args.format}"
     pose.write_pose_stream(stream, path, format=args.format)
@@ -314,7 +308,6 @@ def cmd_synth_srt(args) -> int:
         cells = list(synth.REFERENCE_SRT_CELLS)
         rho = args.rho
     records = synth.gen_srt_dataset(cells, seed=args.seed, rho=rho)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
     stats.write_records_csv(records, out / "records.csv")
     synth.write_cells_sidecar(cells, args.seed, rho, out / "cells.json")

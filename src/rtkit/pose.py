@@ -14,8 +14,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -102,18 +101,14 @@ class PoseStream:
 _CSV_REQUIRED = ("frame", "id", "x", "y")
 # every CSV column the parser reads, in row order, with its type
 _CSV_TYPES = {"frame": int, "timestamp_ms": float, "id": int, "x": float, "y": float, "z": float, "visibility": float}
-# a CSV line of only commas and whitespace (what str.strip removes; U+3000 is the last) is blank
-_BLANK = "," + "".join(filter(str.isspace, map(chr, range(0x3001))))
 # frames parsed per read block and formatted per write call: the reader's temporaries stay
 # near 0.3 MB and the writer's near 0.6 MB for any stream length
 _READ_BLOCK = 32
 _WRITE_BLOCK = 32
-# the ids of a frame whose rows are in id order
+# a frame's ids, sorted
 _IDS = np.arange(N_LANDMARKS)
 # the types of a JSON number (a JSON true or false is a bool, which is not one)
 _NUMBER = (int, float)
-# a JSONL landmark's values, in row order
-_LANDMARK_KEYS = itemgetter("id", "x", "y", "z", "v")
 
 
 def parse_pose_stream(
@@ -124,22 +119,22 @@ def parse_pose_stream(
     """Parse a pose file into a validated PoseStream named after the file's stem.
 
     ``format`` is "csv" or "jsonl"; inferred from the suffix when omitted.
-    Each frame must hold exactly 33 distinct landmark ids from 0..32, in any
-    order (they are sorted by id), and every frame the same id set; frame
-    numbers and timestamps must be finite and increase strictly. CSV fields
-    are split on commas, with no quoting. Raises ParseError (bad row, with
-    line number), SchemaError (landmark count / ids / order / timestamps),
-    EmptyStream. The file is read _READ_BLOCK frames at a time and its
-    frames are checked in file order, so a file with several faults reports
-    the earliest. Every frame has a timestamp or none has, as the CSV header
-    or the first JSONL frame sets; without them, timestamps are synthesized
-    from ``nominal_fps`` and flagged on the stream.
+    Each frame must hold the 33 landmark ids 0..32, each once, in any order
+    (they are sorted by id); frame numbers and timestamps must be finite and
+    increase strictly. CSV fields are split on commas, with no quoting; a
+    line of only commas and whitespace is blank. Raises ParseError (bad row,
+    with line number), SchemaError (landmark count / ids / order /
+    timestamps), EmptyStream. The file is read _READ_BLOCK frames at a time
+    and its frames are checked in file order, so a file with several faults
+    reports the earliest. Every frame has a timestamp or none has, as the
+    CSV header or the first JSONL frame sets; without them, timestamps are
+    synthesized from ``nominal_fps`` and flagged on the stream.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
     csv, n_lines = _format(path, format) == "csv", _count_lines(path)
-    frames = _Frames((n_lines - 1) // N_LANDMARKS if csv else n_lines)
+    frames = _Frames(max(n_lines - 1, 0) // N_LANDMARKS if csv else n_lines)
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         # numpy warns of a CSV block that reads as no rows: one of blank lines only
         warnings.simplefilter("ignore", UserWarning)
@@ -170,12 +165,11 @@ class _Frames:
     """A stream's arrays, allocated for ``capacity`` frames and filled with whole frames, a block at a time.
 
     ``add`` checks each frame of a block in file order, against the frame
-    before it and the first frame's ids, and raises at the first fault: in
-    order, the landmark count, duplicate ids, the frame number's order, a
-    non-finite timestamp, the timestamps' order, ids unlike the first
-    frame's and, in the first frame, an id outside 0..32. A block without a
-    fault is stored, each frame's rows in id order. Timestamps are stored if
-    the first frames added have them.
+    before it, and raises at the first fault: in order, the landmark count,
+    duplicate ids, the frame number's order, a non-finite timestamp, the
+    timestamps' order and an id outside 0..32. A block without a fault is
+    stored, each frame's rows in id order. Timestamps are stored if the
+    first frames added have them.
     """
 
     def __init__(self, capacity: int):
@@ -185,7 +179,6 @@ class _Frames:
         self.coords = np.empty((capacity, L, 3))
         self.visibility = np.empty((capacity, L))
         self.n = 0
-        self.first_ids = None
 
     def add(self, frame_no, ts, line, counts, ids, values) -> None:
         """Check and store whole frames.
@@ -199,15 +192,11 @@ class _Frames:
             return
         # the frames before a short one fill whole rows of L ids; the loop stops at the short one
         ids = np.asarray(ids[: len(ids) // L * L], dtype=float).reshape(-1, L)
-        # a block whose rows are in id order is copied as it is
-        order = None if (ids == _IDS).all() else np.argsort(ids, axis=1)
-        if order is not None:
-            ids = np.take_along_axis(ids, order, axis=1)
-        if self.first_ids is None:
-            self.first_ids = ids[:1].copy()
-        first = self.first_ids
+        order = np.argsort(ids, axis=1)
+        ids = np.take_along_axis(ids, order, axis=1)
         duplicate = (np.diff(ids, axis=1) == 0).any(axis=1).tolist()
-        differs = (ids != first).any(axis=1).tolist()
+        # 33 distinct whole-number ids are 0..32 unless one lies outside that range
+        foreign = (ids != _IDS).any(axis=1).tolist()
         last_no = self.frame_index[n - 1] if n else -math.inf
         last_ts = self.timestamps_ms[n - 1] if n and ts is not None else -math.inf
         stamps = None if ts is None else ts.tolist()
@@ -224,9 +213,8 @@ class _Frames:
                 if t <= last_ts:
                     raise SchemaError(f"timestamps not strictly increasing at frame {f}")
                 last_ts = t
-            if differs[k]:
-                raise SchemaError(f"frame {f}: landmark ids differ from first frame")
-            if not n + k and (outside := first[(first < 0) | (first >= L)]).size:
+            if foreign[k]:
+                outside = ids[k][(ids[k] < 0) | (ids[k] >= L)]
                 raise SchemaError(
                     f"frame {f}: landmark id {int(outside[0])} is outside 0..{L - 1} (frame starts on line {at})"
                 )
@@ -238,12 +226,7 @@ class _Frames:
             self.timestamps_ms[n : n + m] = ts
         dest = [self.coords[n : n + m, :, c] for c in range(3)] + [self.visibility[n : n + m]]
         for d, v in zip(dest, values):
-            if np.ndim(v) == 0:
-                d[...] = v
-            elif order is None:
-                d[...] = v.reshape(m, L)
-            else:
-                d[...] = np.take_along_axis(v.reshape(m, L), order, axis=1)
+            d[...] = v if np.ndim(v) == 0 else np.take_along_axis(v.reshape(m, L), order, axis=1)
         self.n += m
 
     def arrays(self, path: Path):
@@ -346,8 +329,8 @@ def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int]):
             return table, np.arange(first_line, first_line + len(lines)), None, len(lines)
     except ValueError:
         pass
-    # blank lines or a bad row: read the other lines, and name each row's line
-    kept = [i for i, line in enumerate(lines) if line.strip(_BLANK)]
+    # blank lines (only commas and whitespace) or a bad row: read the other lines, and name each row's line
+    kept = [i for i, line in enumerate(lines) if line.replace(",", "").strip()]
     try:
         table = _loadtxt([lines[i] for i in kept], dtype, usecols)
     except ValueError as exc:
@@ -386,14 +369,8 @@ def _jsonl_blocks(fh):
                 if _may_hold_bool(line) and _frame_fault(obj, has_z):
                     raise ValueError
                 f, t, landmarks = obj["frame"], obj.get("timestamp_ms", 0.0), obj["landmarks"]
-                z = has_z
-                try:
-                    row = list(chain.from_iterable(map(_LANDMARK_KEYS, landmarks)))
-                except KeyError:  # a landmark without z or v
-                    z = has_z and all("z" in lm for lm in landmarks)
-                    row = [
-                        v for lm in landmarks for v in (lm["id"], lm["x"], lm["y"], lm.get("z", 0.0), lm.get("v", 1.0))
-                    ]
+                z = has_z and all("z" in lm for lm in landmarks)
+                row = [v for lm in landmarks for v in (lm["id"], lm["x"], lm["y"], lm.get("z", 0.0), lm.get("v", 1.0))]
                 if type(f) not in _NUMBER or type(t) not in _NUMBER:
                     raise TypeError
                 f, t = float(f), float(t)

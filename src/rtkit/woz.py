@@ -32,17 +32,21 @@ _MODALITY = {m: m for m in MODALITIES}  # a parsed TRIG keeps the shared string,
 
 @dataclass(frozen=True)
 class ScenarioScript:
-    """A named warning schedule: strictly increasing trigger times."""
+    """A named warning schedule: a duration above 0 and strictly increasing trigger times inside it."""
 
     name: str
     duration_ms: int
     triggers: tuple[tuple[int, str], ...]  # (t_ms, modality)
 
     def __post_init__(self):
+        if self.duration_ms <= 0:
+            raise ValueError(f"{self.name}: duration {self.duration_ms} ms is not above 0")
         last = -1
         for t_ms, modality in self.triggers:
             if modality not in MODALITIES:
                 raise ValueError(f"{self.name}: unknown modality {modality!r}")
+            if t_ms < 0:
+                raise ValueError(f"{self.name}: trigger at {t_ms} ms is before the start")
             if t_ms <= last:
                 raise ValueError(f"{self.name}: trigger times must be strictly increasing")
             if t_ms >= self.duration_ms:

@@ -288,6 +288,47 @@ def test_spectral_non_finite_coordinate_fails(tmp_path, capsys):
     assert not list(out.glob("P7_*"))
 
 
+def _run_that_fails_after_reading(tmp_path, command):
+    """The argv (without --out) of a ``command`` run that fails on a fault found after its inputs are read, and
+    the error line it prints."""
+    if command == "spectral":
+        # the file of test_spectral_non_finite_coordinate_fails: frame 900, landmark 3 has a NaN x
+        run_cli("synth", "pose", "--seed", 7, "--out", tmp_path / "pose", "--source-id", "P7")
+        path = tmp_path / "pose" / "P7.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[1 + 900 * 33 + 3].split(",")
+        fields[3] = "nan"
+        lines[1 + 900 * 33 + 3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        error = "error [NonFiniteSignal]: P7: 2 non-finite velocity sample(s), first at frame 900"
+        return ["spectral", "--input", path], error
+    if command == "stats":
+        # the summary can be computed; the significance grid needs the AR/HAV cell
+        run_cli("synth", "srt", "--seed", 1, "--out", tmp_path / "srt")
+        records = tmp_path / "srt" / "records.csv"
+        rows = records.read_text().splitlines()
+        records.write_text("\n".join(row for row in rows if row.split(",")[1:3] != ["AR", "HAV"]) + "\n")
+        return ["stats", "--records", records], "error [MissingCell]: missing cells: [('AR', 'HAV')]"
+    # A.csv has a baseline and comes first; B.csv has none
+    for sid in ("A", "B"):
+        run_cli("synth", "pose", "--seed", 5, "--out", tmp_path / "pose", "--source-id", sid,
+                "--duration", 20000, "--warnings", 8000)
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nA,438\n")
+    argv = ["detect", "--input", tmp_path / "pose", "--baselines", baselines, "--warnings", 8000]
+    return argv, f"error [PairingError]: {baselines}: no baseline reaction time for participant 'B'"
+
+
+@pytest.mark.parametrize("command", ["spectral", "stats", "detect"])
+def test_a_command_that_fails_writes_nothing(tmp_path, capsys, command):
+    argv, error = _run_that_fails_after_reading(tmp_path, command)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 1
+    assert capsys.readouterr().err == error + "\n"
+    assert not out.exists()
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 11, "rho": 0.25}))
@@ -547,6 +588,21 @@ def test_scenario_bad_script_is_parse_error(tmp_path, capsys, script, match):
     err = capsys.readouterr().err
     assert err.startswith("error [ParseError]: ")
     assert str(path) in err and match in err
+    assert not (tmp_path / "s.log").exists()
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ({"name": "s", "duration_ms": 5000, "triggers": [[-1000, "V"]]}, "s: trigger at -1000 ms is before the start"),
+        ({"name": "s", "duration_ms": -5, "triggers": []}, "s: duration -5 ms is not above 0"),
+    ],
+)
+def test_scenario_negative_trigger_or_duration_is_parse_error(tmp_path, capsys, script, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(script))
+    assert run_cli("scenario", "--script", path, "--out", tmp_path / "s.log") == 1
+    assert capsys.readouterr().err == f"error [ParseError]: {path}: {message}\n"
     assert not (tmp_path / "s.log").exists()
 
 

@@ -74,6 +74,16 @@ def test_parse_empty_file(tmp_path):
                 parse_pose_stream(path)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_parse_zero_byte_file_is_empty_stream(tmp_path, fmt):
+    # a CSV without even a header line sized its arrays for -1 frames: numpy's ValueError escaped
+    path = tmp_path / f"empty.{fmt}"
+    path.write_bytes(b"")
+    with pytest.raises(EmptyStream) as info:
+        parse_pose_stream(path)
+    assert str(info.value) == f"{path}: no frames"
+
+
 def test_parse_rows_in_any_id_order(tmp_path):
     path = tmp_path / "rev.csv"
     frames = [(fno, ts, lms[::-1]) for fno, ts, lms in simple_frames(2)]
@@ -97,7 +107,7 @@ def test_parse_landmark_ids_differ_between_frames(tmp_path):
     frames = simple_frames(2)
     frames[1] = (1, 33.25, [(j + 1, 0.0, 0.0, 0.0, 1.0) for j in range(33)])
     write_csv(path, frames)
-    with pytest.raises(SchemaError, match="frame 1: landmark ids differ from first frame"):
+    with pytest.raises(SchemaError, match=r"^frame 1: landmark id 33 is outside 0\.\.32 \(frame starts on line 35\)$"):
         parse_pose_stream(path)
 
 
@@ -115,6 +125,31 @@ def test_parse_landmark_ids_outside_full_body(tmp_path, fmt, line):
     match = rf"frame 0: landmark id 100 is outside 0\.\.32 \(frame starts on line {line}\)"
     with pytest.raises(SchemaError, match=match):
         parse_pose_stream(path)
+
+
+def write_jsonl(path, frames):
+    objs = [
+        {"frame": f, "timestamp_ms": t, "landmarks": [dict(zip(("id", "x", "y", "z", "v"), r)) for r in lms]}
+        for f, t, lms in frames
+    ]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+# frame k in the first read block, at its end, in the second
+@pytest.mark.parametrize("k", [1, _READ_BLOCK - 1, _READ_BLOCK + 3])
+@pytest.mark.parametrize("shift, outside", [(1, 33), (-1, -1)])
+def test_parse_ids_outside_full_body_after_the_first_frame(tmp_path, fmt, k, shift, outside):
+    # frame k holds 33 distinct ids, 32 of them body landmarks: the one outside 0..32 is named with the frame's line
+    frames = simple_frames(2 * _READ_BLOCK)
+    fno, ts, rows = frames[k]
+    frames[k] = (fno, ts, [(j + shift, *rest) for j, *rest in rows])
+    path = tmp_path / f"ids.{fmt}"
+    (write_csv if fmt == "csv" else write_jsonl)(path, frames)
+    line = 2 + 33 * k if fmt == "csv" else k + 1
+    with pytest.raises(SchemaError) as info:
+        parse_pose_stream(path)
+    assert str(info.value) == f"frame {k}: landmark id {outside} is outside 0..32 (frame starts on line {line})"
 
 
 def test_parse_frame_number_returns(tmp_path):
@@ -620,6 +655,32 @@ def test_parse_csv_quoted_value_is_a_bad_row(tmp_path, at):
     lines[at - 1] = ",".join(fields)
     message = parse_error(tmp_path / "quoted.csv", lines, ParseError)
     assert message.startswith(f"line {at}: bad row: could not convert string to float: '\"")
+
+
+# inside the first read block, its last line, the second block's first line
+BLANK_AT = [40, _READ_BLOCK * 33 + 1, _READ_BLOCK * 33 + 2]
+
+
+@pytest.mark.parametrize("at", BLANK_AT)
+@pytest.mark.parametrize("blank", [",,,", "\u00a0", "\u001f", "\u3000", " ,\u3000,\u00a0\u001f,"])
+def test_parse_csv_lines_of_commas_and_any_whitespace_are_blank(tmp_path, at, blank):
+    # U+00A0, U+001F and U+3000 are whitespace to str.isspace (U+3000 is the last such character)
+    n = 2 * _READ_BLOCK + 2
+    lines = block_edge_lines(n)
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(lines[: at - 1] + [blank] + lines[at - 1 :]) + "\n", encoding="utf-8")
+    stream = parse_pose_stream(path)
+    ts, coords = edge_case_arrays(n)
+    assert stream.frame_index.tolist() == list(range(n))
+    assert np.array_equal(stream.timestamps_ms, ts) and np.array_equal(stream.coords, coords)
+
+
+@pytest.mark.parametrize("at", BLANK_AT)
+def test_parse_csv_line_of_a_character_past_u3000_is_a_bad_row(tmp_path, at):
+    # U+3001 (ideographic comma) is not whitespace: its line is a bad row, named by its line
+    lines = block_edge_lines(2 * _READ_BLOCK + 2)
+    message = parse_error(tmp_path / "bad.csv", lines[: at - 1] + ["\u3001"] + lines[at - 1 :], ParseError)
+    assert message.startswith(f"line {at}: bad row: invalid literal for int() with base 10: '\u3001")
 
 
 def gather_case(n, shuffled):

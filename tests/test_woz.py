@@ -75,6 +75,16 @@ def test_script_validation():
         ScenarioScript("bad", 45000, ((1000, "X"),))
 
 
+def test_script_times_start_at_zero_and_duration_is_above_zero():
+    assert ScenarioScript("start", 1000, ((0, "V"),)).triggers == ((0, "V"),)
+    # a single negative trigger is named for itself, not as a fault of the trigger order
+    with pytest.raises(ValueError, match=r"^bad: trigger at -1000 ms is before the start$"):
+        ScenarioScript("bad", 45000, ((-1000, "V"),))
+    for duration in (0, -5):
+        with pytest.raises(ValueError, match=rf"^bad: duration {duration} ms is not above 0$"):
+            ScenarioScript("bad", duration, ())
+
+
 def test_unknown_script_name():
     with pytest.raises(KeyError):
         script_by_name("Z")
