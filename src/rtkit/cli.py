@@ -67,7 +67,7 @@ def cmd_ingest(args) -> int:
         "source_id": stream.source_id,
         "n_frames": stream.n_frames,
         "n_landmarks": stream.n_landmarks,
-        "nominal_fps": stream.nominal_fps,
+        "frame_ms": None if math.isnan(stream.frame_ms) else stream.frame_ms,  # JSON has no NaN
         "has_z": stream.has_z,
         "timestamps_synthesized": stream.timestamps_synthesized,
         "findings": [
@@ -365,6 +365,7 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     config_help = "JSON file of option defaults; flags override them"
+    fps_help = "rate of the timestamps synthesized for a file without them; a stamped file is spaced by its stamps"
     p = argparse.ArgumentParser(prog="rtkit", description=__doc__.splitlines()[0])
     p.add_argument("--config", help=config_help)
     # also accepted after the subcommand; SUPPRESS keeps a subparser from resetting it
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest", parents=[config], help="parse and validate a pose file")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--fps", type=_positive_float, default=30.0)
+    sp.add_argument("--fps", type=_positive_float, default=30.0, help=fps_help)
     sp.add_argument("--input", required=True)
     sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
     sp.add_argument("--canonical", action="store_true", help="also write a canonical JSONL copy")
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("detect", parents=[config], help="vision-based reaction times for pose streams")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--fps", type=_positive_float, default=30.0)
+    sp.add_argument("--fps", type=_positive_float, default=30.0, help=fps_help)
     sp.add_argument("--input", required=True, help="pose file or directory of pose files")
     sp.add_argument("--baselines", required=True, help="CSV: participant,baseline_rt_ms")
     sp.add_argument("--warnings", type=_warning_times, required=True, help="comma-separated warning times (ms)")
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectral", parents=[config], help="FFT magnitude spectrum and CWT of the velocity series")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--fps", type=_positive_float, default=30.0)
+    sp.add_argument("--fps", type=_positive_float, default=30.0, help=fps_help)
     sp.add_argument("--input", required=True)
     sp.add_argument("--dims", choices=["auto", "xy", "xyz"], default="auto")
     sp.add_argument("--remove-mean", action="store_true")

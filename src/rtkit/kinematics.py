@@ -26,8 +26,8 @@ _BLOCK = 64
 class VelocitySeries:
     """Movement speed per frame pair; sample i is stamped at the later frame.
 
-    Length is one less than the source stream. ``fps`` is the effective
-    rate implied by the timestamps.
+    Length is one less than the source stream. ``fps`` is the reciprocal
+    of the stream's frame spacing (``PoseStream.frame_ms``).
     """
 
     source_id: str
@@ -54,8 +54,8 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
 
     ``dims`` is "xy" or "xyz"; by default "xyz" when the stream carries z.
     Raises LengthError for a stream of fewer than 2 frames, and GapError
-    when any timestamp delta is outside +/-50% of the nominal frame duration
-    or is NaN; callers may subdivide the stream and retry. The stream's
+    when any timestamp delta is outside +/-50% of ``stream.frame_ms`` or is
+    NaN; callers may subdivide the stream and retry. The stream's
     arrays are only read, so they may be read-only views.
 
     The squared steps of ``_BLOCK`` frame pairs at a time go through two
@@ -70,8 +70,9 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
         raise ValueError(f"dims must be 'xy' or 'xyz', got {dims!r}")
     if stream.n_frames < 2:
         raise LengthError(f"{stream.source_id}: {stream.n_frames} frame(s); a velocity series needs at least 2")
+    frame_ms = stream.frame_ms
     deltas = np.diff(stream.timestamps_ms)
-    bad = np.flatnonzero(off_nominal(deltas, stream.frame_ms))
+    bad = np.flatnonzero(off_nominal(deltas, frame_ms))
     if bad.size:
         frames = [int(stream.frame_index[i + 1]) for i in bad]
         raise GapError(
@@ -98,10 +99,9 @@ def velocity_series(stream: PoseStream, dims: str | None = None) -> VelocitySeri
         np.sqrt(sq, out=sq)
         sq.sum(axis=1, out=disp[lo:hi])
     v = disp / (deltas / 1000.0)
-    fps = 1000.0 / float(np.median(deltas))
     return VelocitySeries(
         source_id=stream.source_id,
-        fps=fps,
+        fps=1000.0 / frame_ms,
         frame_index=stream.frame_index[1:].copy(),
         t_ms=stream.timestamps_ms[1:].copy(),
         v=v,

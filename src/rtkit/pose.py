@@ -28,12 +28,12 @@ UPPER_BODY = 25  # ids 0..24, the first columns
 # pose-file suffix -> format; any other suffix is read and written as CSV
 POSE_SUFFIXES = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}
 
-# a frame-to-frame delta further than 50% from nominal is a gap/anomaly
+# a frame-to-frame delta further than 50% from the stream's frame spacing is a gap/anomaly
 GAP_TOLERANCE = 0.5
 
 
 def off_nominal(deltas_ms: np.ndarray, nominal_ms: float) -> np.ndarray:
-    """True where a frame-to-frame delta is more than GAP_TOLERANCE off nominal, or not a number."""
+    """True where a frame-to-frame delta is more than GAP_TOLERANCE off ``nominal_ms``, or not a number."""
     return ~(np.abs(deltas_ms - nominal_ms) <= GAP_TOLERANCE * nominal_ms)
 
 
@@ -48,7 +48,6 @@ class PoseStream:
     """
 
     source_id: str
-    nominal_fps: float
     frame_index: np.ndarray
     timestamps_ms: np.ndarray
     coords: np.ndarray
@@ -77,14 +76,16 @@ class PoseStream:
 
     @property
     def frame_ms(self) -> float:
-        return 1000.0 / self.nominal_fps
+        """The median timestamp delta, NaN deltas left out; NaN, with no warning, when none is left (one frame)."""
+        deltas = np.diff(self.timestamps_ms)
+        deltas = deltas[~np.isnan(deltas)]
+        return float(np.median(deltas)) if deltas.size else math.nan
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoseStream):
             return NotImplemented
         return (
             self.source_id == other.source_id
-            and self.nominal_fps == other.nominal_fps
             and self.has_z == other.has_z
             and self.timestamps_synthesized == other.timestamps_synthesized
             and np.array_equal(self.frame_index, other.frame_index)
@@ -128,7 +129,7 @@ def parse_pose_stream(
     and its frames are checked in file order, so a file with several faults
     reports the earliest. Every frame has a timestamp or none has, as the
     CSV header or the first JSONL frame sets; without them, timestamps are
-    synthesized from ``nominal_fps`` and flagged on the stream.
+    synthesized from ``nominal_fps``, which sets nothing else, and flagged.
     """
     path = Path(path)
     if not path.exists():
@@ -143,7 +144,6 @@ def parse_pose_stream(
     frame_no, ts, coords, visibility = frames.arrays(path)
     return PoseStream(
         source_id=path.stem,
-        nominal_fps=nominal_fps,
         frame_index=frame_no,
         timestamps_ms=frame_no * (1000.0 / nominal_fps) if ts is None else ts,
         coords=coords,
@@ -247,13 +247,14 @@ class _Frames:
 
 
 def _csv_blocks(fh, path: Path):
-    dtype, usecols = _csv_columns(path, fh.readline())
+    dtype, usecols, width = _csv_columns(path, fh.readline())
     names = dtype.names
     # the rows of the frame the last block ended in, with their lines: the next block may go on with it
     carry = np.empty(0, dtype), np.empty(0, np.int64)
     line_no, n_read = 2, 1
     while n_read:
-        table, row_line, fault, n_read = _csv_rows(islice(fh, _READ_BLOCK * N_LANDMARKS), line_no, dtype, usecols)
+        block = islice(fh, _READ_BLOCK * N_LANDMARKS)
+        table, row_line, fault, n_read = _csv_rows(block, line_no, dtype, usecols, width)
         line_no += n_read
         # the tables as bytes: numpy joins structured arrays field by field, several times slower
         table = np.concatenate([carry[0].view(np.uint8), table.view(np.uint8)]).view(dtype)
@@ -300,8 +301,8 @@ def _count_lines(path: Path) -> int:
     return int(n) + (last not in (None, 10, 13))  # a last line without a line end
 
 
-def _csv_columns(path: Path, header_line: str) -> tuple[np.dtype, list[int]]:
-    """The row dtype of the parsed columns, named in row order, and the columns' indices in ``header_line``."""
+def _csv_columns(path: Path, header_line: str) -> tuple[np.dtype, list[int], int]:
+    """The row dtype of the parsed columns, named in row order, their indices in ``header_line`` and its field count."""
     if not header_line:
         raise EmptyStream(f"{path}: no frames")
     header = [h.strip() for h in header_line.split(",")]
@@ -309,14 +310,14 @@ def _csv_columns(path: Path, header_line: str) -> tuple[np.dtype, list[int]]:
         if name not in header:
             raise ParseError(f"missing column {name!r} in header", line=1)
     names = [name for name in _CSV_TYPES if name in header]
-    return np.dtype([(name, _CSV_TYPES[name]) for name in names]), [header.index(name) for name in names]
+    return np.dtype([(n, _CSV_TYPES[n]) for n in names]), [header.index(n) for n in names], len(header)
 
 
 def _loadtxt(lines, dtype: np.dtype, usecols: list[int]) -> np.ndarray:
     return np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
 
 
-def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int]):
+def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int], width: int):
     """The rows of a block of CSV lines, the line of each row, the block's first bad row and the lines read.
 
     With a bad row, a ParseError, the rows are those of the lines before it;
@@ -334,22 +335,24 @@ def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int]):
     try:
         table = _loadtxt([lines[i] for i in kept], dtype, usecols)
     except ValueError as exc:
-        bad, fault = _bad_row(lines, kept, dtype, usecols, first_line, exc)
-        return *_csv_rows(lines[:bad], first_line, dtype, usecols)[:2], fault, len(lines)
+        bad, fault = _bad_row(lines, kept, dtype, usecols, width, first_line, exc)
+        return *_csv_rows(lines[:bad], first_line, dtype, usecols, width)[:2], fault, len(lines)
     return table, first_line + np.array(kept[: len(table)], dtype=np.int64), None, len(lines)
 
 
-def _bad_row(lines, kept, dtype, usecols, first_line, exc) -> tuple[int, ParseError]:
+def _bad_row(lines, kept, dtype, usecols, width, first_line, exc) -> tuple[int, ParseError]:
     """The first kept line that int()/float() or, alone, loadtxt rejects, and its ParseError; (0, unnamed) if none."""
     for i in kept:
+        raw = lines[i].rstrip("\n").split(",")  # a bad last field is quoted without the line end
         try:
-            raw = lines[i].split(",")
             for name, j in zip(dtype.names, usecols):
                 _CSV_TYPES[name](raw[j])
             # a value int()/float() accept but loadtxt does not, such as 1_0
             _loadtxt(lines[i : i + 1], dtype, usecols)
-        except (ValueError, IndexError) as bad:
+        except ValueError as bad:
             return i, ParseError(f"bad row: {bad}", line=first_line + i)
+        except IndexError:
+            return i, ParseError(f"bad row: {len(raw)} field(s), the header has {width}", line=first_line + i)
     return 0, ParseError(f"bad row: {exc}")
 
 

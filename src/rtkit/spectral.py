@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import BadScales, LengthError, NonFiniteSignal, NonUniformSampling
 from .kinematics import VelocitySeries
+from .pose import off_nominal
 
 GAUS2_NORM = 2.0 / (np.sqrt(3.0) * np.pi**0.25)
 WAVELET_TAG = "gaussian-2nd-order"
@@ -35,14 +36,10 @@ SUPPORT_RADIUS = 5.0  # wavelet support truncated at +/- 5 scales
 DEFAULT_SCALES = np.geomspace(2.0, 30.0, 32)
 DEFAULT_SCALES.flags.writeable = False
 
-_UNIFORM_RTOL = 1e-6
-
 
 def _check_series(series: VelocitySeries) -> None:
-    """NonUniformSampling for uneven timestamps; NonFiniteSignal naming the frames of NaN or infinite samples."""
-    deltas = np.diff(series.t_ms)
-    dt = float(np.median(deltas))
-    if np.any(np.abs(deltas - dt) > _UNIFORM_RTOL * dt):
+    """NonUniformSampling for a gap (``off_nominal``); NonFiniteSignal naming the frames of NaN or infinite samples."""
+    if off_nominal(np.diff(series.t_ms), series.frame_ms).any():
         raise NonUniformSampling("series timestamps are not uniformly spaced")
     bad = np.flatnonzero(~np.isfinite(series.v))
     if bad.size:

@@ -211,7 +211,6 @@ def gen_pose_stream(
 
     stream = PoseStream(
         source_id=source_id,
-        nominal_fps=fps,
         frame_index=np.arange(n),
         timestamps_ms=t_ms,
         coords=coords,

@@ -12,7 +12,6 @@ def make_stream(coords, fps=30.0, source_id="test", visibility=None, timestamps=
     n, L = coords.shape[:2]
     return PoseStream(
         source_id=source_id,
-        nominal_fps=fps,
         frame_index=np.arange(n),
         timestamps_ms=np.asarray(timestamps, dtype=float) if timestamps is not None else np.arange(n) * (1000.0 / fps),
         coords=coords,

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -793,6 +794,51 @@ def test_short_pose_stream_is_length_error(tmp_path, capsys, command, n_frames, 
         argv += ["--baselines", baselines, "--warnings", "25000"]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"error [LengthError]: {match}\n"
+
+
+def test_ingest_of_one_frame_reports_no_spacing_and_warns_of_nothing(tmp_path):
+    out = tmp_path / "ingest"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("ingest", "--input", _short_pose_file(tmp_path, 1), "--out", out) == 0
+    assert '"frame_ms": null' in (out / "P1_validation.json").read_text()
+
+
+@pytest.mark.parametrize("whole_ms", [False, True])
+def test_ingest_reports_the_median_stamp_delta_and_spectral_spaces_by_it(tmp_path, whole_ms):
+    run_cli("synth", "pose", "--seed", 1, "--out", tmp_path / "pose")
+    path = tmp_path / "pose" / "synth.csv"
+    if whole_ms:
+        # stamps rounded to whole ms, as recorders often write them: deltas of 33 and 34 ms at 30 fps
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows = [[r[0], "%d" % round(float(r[1])), *r[2:]] for r in rows]
+        path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+    stamps = np.unique(np.loadtxt(path, delimiter=",", skiprows=1, usecols=1))
+    assert run_cli("ingest", "--input", path, "--out", tmp_path / "ingest") == 0
+    report = json.loads((tmp_path / "ingest" / "synth_validation.json").read_text())
+    assert report["frame_ms"] == float(np.median(np.diff(stamps)))
+    assert report["frame_ms"] == 33.0 or not whole_ms
+    assert report["findings"] == []
+    assert run_cli("spectral", "--input", path, "--out", tmp_path / "spec") == 0
+
+
+@pytest.mark.parametrize("fps", [60, 15])
+def test_detect_and_spectral_space_a_stamped_file_by_its_stamps_not_by_fps(tmp_path, fps):
+    # --fps spaces synthesized timestamps only: without it, a stamped file's outputs equal those with its rate
+    run_cli("synth", "pose", "--seed", 1, "--fps", fps, "--out", tmp_path / "pose")
+    path = tmp_path / "pose" / "synth.csv"
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("participant,baseline_rt_ms\nsynth,438\n")
+    detect = ["--baselines", baselines, "--warnings", "25000,45000"]
+    for command, argv in (("detect", detect), ("spectral", [])):
+        outputs = []
+        for flags in ([], ["--fps", fps]):
+            out = tmp_path / f"{command}-{len(flags)}"
+            assert run_cli(command, "--input", path, *argv, *flags, "--out", out) == 0
+            # run_config.json echoes the flags
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_config.json"})
+        assert len(outputs[0]) == (2 if command == "detect" else 3)
+        assert outputs[0] == outputs[1]
 
 
 def test_detect_no_pose_files_is_empty_stream(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_displacement_matches_bruteforce(seed, dims):
         expected += math.sqrt(sum((b - a) ** 2 for a, b in zip(prev[: len(dims)], curr[: len(dims)])))
     # one sample is the summed displacement over the frame duration
     v = velocity_series(stream, dims=dims).v[0]
-    assert v == pytest.approx(expected * stream.nominal_fps, rel=1e-12)
+    assert v == pytest.approx(expected * (1000.0 / stream.frame_ms), rel=1e-12)
 
 
 @pytest.mark.parametrize("dims", ["xy", "xyz"])

@@ -234,6 +234,28 @@ def test_parse_bad_frame_or_short_row(tmp_path, bad_row):
         parse_pose_stream(path)
 
 
+@pytest.mark.parametrize("row, fields", [("1", 1), ("1,33.25,0,0.1", 4), ("1,33.25,0,0.1,0.2,0.0", 6)])
+def test_parse_short_row_names_its_fields_and_the_headers(tmp_path, row, fields):
+    path = tmp_path / "short.csv"
+    write_csv(path, simple_frames(1))
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ParseError) as info:
+        parse_pose_stream(path)
+    assert str(info.value) == f"line 35: bad row: {fields} field(s), the header has 7"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_parse_bad_last_field_is_quoted_without_the_line_end(tmp_path, end):
+    lines = block_edge_lines(2)
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",x"  # line 2's visibility
+    path = tmp_path / "bad.csv"
+    path.write_bytes((end.join(lines) + end).encode())
+    with pytest.raises(ParseError) as info:
+        parse_pose_stream(path)
+    assert str(info.value) == "line 2: bad row: could not convert string to float: 'x'"
+
+
 @pytest.mark.parametrize("column", [2, 3])  # id and x
 def test_parse_names_the_line_of_a_value_only_loadtxt_rejects(tmp_path, column):
     # int() and float() accept digits grouped with "_"; np.loadtxt does not
@@ -680,7 +702,7 @@ def test_parse_csv_line_of_a_character_past_u3000_is_a_bad_row(tmp_path, at):
     # U+3001 (ideographic comma) is not whitespace: its line is a bad row, named by its line
     lines = block_edge_lines(2 * _READ_BLOCK + 2)
     message = parse_error(tmp_path / "bad.csv", lines[: at - 1] + ["\u3001"] + lines[at - 1 :], ParseError)
-    assert message.startswith(f"line {at}: bad row: invalid literal for int() with base 10: '\u3001")
+    assert message == f"line {at}: bad row: invalid literal for int() with base 10: '\u3001'"
 
 
 def gather_case(n, shuffled):
@@ -731,7 +753,7 @@ def test_parse_reports_the_earliest_of_several_faults(tmp_path):
 
 
 # a frame's checks in their documented order; each test case puts two adjacent kinds into one frame
-FRAME_FAULTS = ["count", "duplicate", "frame order", "non-finite timestamp", "timestamp order", "ids differ"]
+FRAME_FAULTS = ["count", "duplicate", "frame order", "non-finite timestamp", "timestamp order", "foreign id"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -762,6 +784,7 @@ def test_parse_reports_a_frames_faults_in_check_order(tmp_path, fmt, k, first, s
         "frame order": f"frame index not strictly increasing at frame {fno}",
         "non-finite timestamp": f"frame {fno}: timestamp_ms {ts!r} on line {line} is not finite",
         "timestamp order": f"timestamps not strictly increasing at frame {fno}",
+        "foreign id": f"frame {fno}: landmark id 40 is outside 0..32 (frame starts on line {line})",
     }[first]
     path = tmp_path / f"two.{fmt}"
     if fmt == "csv":

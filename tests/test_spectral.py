@@ -64,11 +64,16 @@ def test_fft_linearity():
     )
 
 
-def test_fft_nonuniform_sampling():
+@pytest.mark.parametrize("shift_ms, uneven", [(20.0, True), (10.0, False)])
+def test_fft_nonuniform_sampling(shift_ms, uneven):
+    # one stamp moved by 60% of a 33.3 ms frame is a gap; by 30% it is within the pose gap rule's 50%
     series = make_series(np.ones(50))
-    series.t_ms[20] += 10.0
-    with pytest.raises(NonUniformSampling):
-        fft_magnitude(series)
+    series.t_ms[20] += shift_ms
+    if uneven:
+        with pytest.raises(NonUniformSampling):
+            fft_magnitude(series)
+    else:
+        assert fft_magnitude(series).n == 50
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
