@@ -8,15 +8,14 @@ inside a post-warning search window gives the pattern's peak time t_max;
 the reaction time is t_max - D/2 (the pattern's onset).
 
 Convolution alignment: the output is "same"-sized against the input, one
-sample per velocity sample, and each output sample is stamped with the
-time at which the kernel's center actually sits for that placement. For
-odd-length kernels that is the velocity sample's own timestamp; for
-even-length kernels the center falls half a frame earlier (the kernel's
-middle lies between two samples). Stamping the true center time keeps
-Eq.-style onset arithmetic (t_max minus half the duration) free of a
-parity-dependent half-frame bias. Boundaries are zero-padded; windows
-overlapping the series edge are rejected instead of returning a padded
-artifact peak.
+sample per velocity sample, stamped with the true time of the kernel's
+center for that placement. A velocity sample measures its frame pair's
+midpoint, half a frame before its stamp (the later frame's), and an
+even-length kernel's center lies half a frame before its paired sample:
+the output stamp is the velocity stamp less half a frame for odd kernels
+and less one frame for even ones, so t_max minus half the duration has no
+half-frame bias. Boundaries are zero-padded; a window reaching an output
+whose kernel crosses the series edge is rejected, not read as a padded peak.
 """
 
 from __future__ import annotations
@@ -131,16 +130,17 @@ class ConvolutionSeries:
 def convolve(series: VelocitySeries, kernel: GaussianKernel) -> ConvolutionSeries:
     """Direct (multiply-accumulate) convolution of the series with the kernel.
 
-    Output sample i pairs with velocity sample i; its timestamp is the
-    kernel-center time of that placement (half a frame before the sample for
-    even kernels). A non-finite velocity sample makes non-finite only the
-    outputs the kernel reaches from it.
+    Output sample i pairs with velocity sample i; its timestamp is the true
+    kernel-center time of that placement, half a frame before the velocity
+    stamp for odd kernels and one frame before it for even ones. A
+    non-finite velocity sample makes non-finite only the outputs the kernel
+    reaches from it.
     """
     n, m = len(series.v), len(kernel.samples)
     if n < m:
         raise LengthError(f"series length {n} shorter than kernel length {m}")
-    # center-of-kernel time for output i: t_i - dt/2 when m is even
-    center_shift = 0.0 if m % 2 else -0.5 * series.frame_ms
+    # velocity sample i sits at t_i - dt/2 (its frame pair's midpoint); an even kernel's center dt/2 before that
+    center_shift = -series.frame_ms * (0.5 if m % 2 else 1.0)
     return ConvolutionSeries(
         t_ms=series.t_ms + center_shift,
         values=np.convolve(series.v, kernel.samples, mode="same"),
@@ -149,14 +149,14 @@ def convolve(series: VelocitySeries, kernel: GaussianKernel) -> ConvolutionSerie
     )
 
 
-def _windowed_argmax(conv: ConvolutionSeries, window: SearchWindow) -> int:
+def _windowed_argmax(conv: ConvolutionSeries, window: SearchWindow, kernel_len: int = 1) -> int:
     """Index of the windowed maximum (earliest on ties); validates the window."""
     t = conv.t_ms
     lo, hi = window.start_ms, window.end_ms
-    if lo < t[0] or hi > t[-1]:
-        raise GapInWindow(
-            f"window [{lo}, {hi}] ms not fully inside series [{t[0]}, {t[-1]}] ms"
-        )
+    # the window lies within the outputs whose kernel is whole inside the series ("same" alignment)
+    first, last = t[kernel_len // 2], t[len(t) - 1 - (kernel_len - 1) // 2]
+    if lo < first or hi > last:
+        raise GapInWindow(f"window [{lo}, {hi}] ms not inside [{first}, {last}] ms, where the kernel is whole")
     mask = (t >= lo) & (t <= hi)
     idx = np.nonzero(mask)[0]
     if off_nominal(np.diff(t[idx]), conv.frame_ms).any():
@@ -193,10 +193,10 @@ def estimate_in_window(
 
     Ties break toward the earliest time. Raises NonFiniteSignal when the
     windowed convolution holds NaN or infinity, FlatSignal when it is
-    constant, GapInWindow when the window covers a sampling gap or falls
-    outside the series, and NegativeOnset as ``reaction_time`` does.
+    constant, GapInWindow when the window covers a sampling gap or an output
+    whose kernel crosses the series edge, and NegativeOnset as ``reaction_time`` does.
     """
-    best = _windowed_argmax(conv, window)
+    best = _windowed_argmax(conv, window, len(kernel))
     t_max = float(conv.t_ms[best] - window.start_ms)
     return t_max, reaction_time(t_max, kernel), float(conv.values[best])
 

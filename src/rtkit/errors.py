@@ -56,7 +56,7 @@ class NonFiniteSignal(ToolkitError):
 
 
 class GapInWindow(ToolkitError):
-    """Search window covers a frame gap."""
+    """Search window covers a frame gap, or an output whose kernel crosses the series edge."""
 
 
 class NegativeOnset(ToolkitError):

@@ -24,7 +24,7 @@ _BLOCK = 64
 
 @dataclass
 class VelocitySeries:
-    """Movement speed per frame pair; sample i is stamped at the later frame.
+    """Movement speed per frame pair; sample i is stamped at the later frame, half a frame after the pair's midpoint.
 
     Length is one less than the source stream. ``fps`` is the reciprocal
     of the stream's frame spacing (``PoseStream.frame_ms``).

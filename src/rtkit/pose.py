@@ -247,14 +247,14 @@ class _Frames:
 
 
 def _csv_blocks(fh, path: Path):
-    dtype, usecols, width = _csv_columns(path, fh.readline())
+    dtype = _csv_columns(path, fh.readline())
     names = dtype.names
     # the rows of the frame the last block ended in, with their lines: the next block may go on with it
     carry = np.empty(0, dtype), np.empty(0, np.int64)
     line_no, n_read = 2, 1
     while n_read:
         block = islice(fh, _READ_BLOCK * N_LANDMARKS)
-        table, row_line, fault, n_read = _csv_rows(block, line_no, dtype, usecols, width)
+        table, row_line, fault, n_read = _csv_rows(block, line_no, dtype)
         line_no += n_read
         # the tables as bytes: numpy joins structured arrays field by field, several times slower
         table = np.concatenate([carry[0].view(np.uint8), table.view(np.uint8)]).view(dtype)
@@ -301,23 +301,24 @@ def _count_lines(path: Path) -> int:
     return int(n) + (last not in (None, 10, 13))  # a last line without a line end
 
 
-def _csv_columns(path: Path, header_line: str) -> tuple[np.dtype, list[int], int]:
-    """The row dtype of the parsed columns, named in row order, their indices in ``header_line`` and its field count."""
+def _csv_columns(path: Path, header_line: str) -> np.dtype:
+    """The row dtype: a field per header column, in order; a column not read is a one-character string ``_j``."""
     if not header_line:
         raise EmptyStream(f"{path}: no frames")
     header = [h.strip() for h in header_line.split(",")]
     for name in _CSV_REQUIRED:
         if name not in header:
             raise ParseError(f"missing column {name!r} in header", line=1)
-    names = [name for name in _CSV_TYPES if name in header]
-    return np.dtype([(n, _CSV_TYPES[n]) for n in names]), [header.index(n) for n in names], len(header)
+    read = [h in _CSV_TYPES and h not in header[:j] for j, h in enumerate(header)]
+    return np.dtype([(h, _CSV_TYPES[h]) if r else (f"_{j}", "U1") for j, (h, r) in enumerate(zip(header, read))])
 
 
-def _loadtxt(lines, dtype: np.dtype, usecols: list[int]) -> np.ndarray:
-    return np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
+    # one field per column: a row of any other field count is refused
+    return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int], width: int):
+def _csv_rows(block, first_line: int, dtype: np.dtype):
     """The rows of a block of CSV lines, the line of each row, the block's first bad row and the lines read.
 
     With a bad row, a ParseError, the rows are those of the lines before it;
@@ -325,7 +326,7 @@ def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int], width
     """
     lines = list(block)
     try:
-        table = _loadtxt(lines, dtype, usecols)
+        table = _loadtxt(lines, dtype)
         if len(table) == len(lines):
             return table, np.arange(first_line, first_line + len(lines)), None, len(lines)
     except ValueError:
@@ -333,26 +334,27 @@ def _csv_rows(block, first_line: int, dtype: np.dtype, usecols: list[int], width
     # blank lines (only commas and whitespace) or a bad row: read the other lines, and name each row's line
     kept = [i for i, line in enumerate(lines) if line.replace(",", "").strip()]
     try:
-        table = _loadtxt([lines[i] for i in kept], dtype, usecols)
+        table = _loadtxt([lines[i] for i in kept], dtype)
     except ValueError as exc:
-        bad, fault = _bad_row(lines, kept, dtype, usecols, width, first_line, exc)
-        return *_csv_rows(lines[:bad], first_line, dtype, usecols, width)[:2], fault, len(lines)
+        bad, fault = _bad_row(lines, kept, dtype, first_line, exc)
+        return *_csv_rows(lines[:bad], first_line, dtype)[:2], fault, len(lines)
     return table, first_line + np.array(kept[: len(table)], dtype=np.int64), None, len(lines)
 
 
-def _bad_row(lines, kept, dtype, usecols, width, first_line, exc) -> tuple[int, ParseError]:
-    """The first kept line that int()/float() or, alone, loadtxt rejects, and its ParseError; (0, unnamed) if none."""
+def _bad_row(lines, kept, dtype, first_line, exc) -> tuple[int, ParseError]:
+    """The first kept line that int()/float(), the field count or, alone, loadtxt rejects; (0, unnamed) if none."""
+    width = len(dtype.names)
     for i in kept:
         raw = lines[i].rstrip("\n").split(",")  # a bad last field is quoted without the line end
         try:
-            for name, j in zip(dtype.names, usecols):
-                _CSV_TYPES[name](raw[j])
+            for name, text in zip(dtype.names, raw):
+                _CSV_TYPES.get(name, str)(text)  # a column not read takes any text
+            if len(raw) != width:
+                return i, ParseError(f"bad row: {len(raw)} field(s), the header has {width}", line=first_line + i)
             # a value int()/float() accept but loadtxt does not, such as 1_0
-            _loadtxt(lines[i : i + 1], dtype, usecols)
+            _loadtxt(lines[i : i + 1], dtype)
         except ValueError as bad:
             return i, ParseError(f"bad row: {bad}", line=first_line + i)
-        except IndexError:
-            return i, ParseError(f"bad row: {len(raw)} field(s), the header has {width}", line=first_line + i)
     return 0, ParseError(f"bad row: {exc}")
 
 

@@ -3,9 +3,8 @@
 One trial draws a participant baseline, builds a matched burst (width
 within +/-25% of the kernel width, peak placed half a kernel duration
 after the onset so the generator and detector share one pattern-duration
-convention; less half a frame, because the velocity series stamps each
-sample at the later frame of its pair), injects it into a noisy 60 s
-stream and runs the full detection pipeline.
+convention), injects it into a noisy 60 s stream and runs the full
+detection pipeline.
 
 SNR is the burst's peak velocity amplitude over the analytic velocity-noise
 floor of the generated full-body stream; the detector's upper-body
@@ -59,7 +58,7 @@ def run_detection_trial(seed: int, snr: float) -> TrialResult:
         onset_ms=onset,
         burst_sigma_ms=burst_sigma,
         burst_amplitude=amplitude,
-        center_offset_ms=baseline / 2.0 - 500.0 / FPS,
+        center_offset_ms=baseline / 2.0,
     )
     stream, _ = gen_pose_stream(
         duration_ms=DURATION_MS,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import signal
 from conftest import make_series, make_stream, peak_time
 from rtkit.detector import (
     ConvolutionSeries,
+    _windowed_argmax,
     build_kernel,
     convolve,
     default_window,
@@ -25,7 +27,8 @@ from rtkit.errors import (
     NonFiniteSignal,
 )
 from rtkit.kinematics import velocity_series
-from rtkit.synth import BurstSpec, NoiseSpec, gen_pose_stream, velocity_noise_std
+from rtkit.pose import select_upper_body
+from rtkit.synth import DEFAULT_WINDOW_STATS, BurstSpec, NoiseSpec, gen_pose_stream, velocity_noise_std
 
 FRAME_MS = 1000.0 / 30.0
 
@@ -142,8 +145,10 @@ def test_convolve_center_times():
     even = build_kernel(438.0, FRAME_MS)  # 14 samples
     s = make_series(x)
     assert len(odd) % 2 == 1 and len(even) % 2 == 0
-    assert np.array_equal(convolve(s, odd).t_ms, s.t_ms)
-    assert np.allclose(convolve(s, even).t_ms, s.t_ms - FRAME_MS / 2.0)
+    # a velocity sample measures its frame pair's midpoint, half a frame before its stamp;
+    # an even kernel's center lies half a frame before that
+    assert np.array_equal(convolve(s, odd).t_ms, s.t_ms - FRAME_MS / 2.0)
+    assert np.array_equal(convolve(s, even).t_ms, s.t_ms - FRAME_MS)
 
 
 @settings(max_examples=25, deadline=None)
@@ -248,6 +253,22 @@ def test_locate_peak_window_outside_series():
         estimate_in_window(conv, WINDOW_KERNEL, window_at(500.0))  # window end beyond series
 
 
+def test_window_must_lie_where_the_kernel_is_whole():
+    # 14-sample kernel: outputs 7 .. n - 7 have the whole kernel inside the series
+    kernel = build_kernel(438.0, FRAME_MS)
+    m = len(kernel)
+    conv = convolve(make_series(np.random.default_rng(4).random(200)), kernel)
+    first, last = conv.t_ms[m // 2], conv.t_ms[len(conv) - 1 - (m - 1) // 2]
+    w = window_at(0.0)
+    assert (last - w.length_ms) + w.length_ms == last
+    for ok in (w.at(first), w.at(last - w.length_ms)):
+        _windowed_argmax(conv, ok, m)
+    for reaching in (w.at(conv.t_ms[m // 2 - 1]), w.at(conv.t_ms[len(conv) - (m - 1) // 2] - w.length_ms)):
+        _windowed_argmax(conv, reaching)  # inside the stamps
+        with pytest.raises(GapInWindow):
+            _windowed_argmax(conv, reaching, m)
+
+
 def test_locate_peak_gap_inside_window():
     t = np.arange(1, 200) * FRAME_MS
     t[70:] += 3 * FRAME_MS
@@ -269,7 +290,7 @@ def test_reaction_time_formula():
 
 def synth_stream(onset, baseline=438.0, snr=10.0, seed=0, warning=25000.0):
     amp = snr * velocity_noise_std(0.004, 33, 30.0)
-    burst = BurstSpec(onset, baseline / 8.0, amp, center_offset_ms=baseline / 2.0 - FRAME_MS / 2.0)
+    burst = BurstSpec(onset, baseline / 8.0, amp)
     stream, _ = gen_pose_stream(60000, 30.0, [warning], [burst], NoiseSpec(0.004), seed=seed)
     return stream
 
@@ -297,7 +318,7 @@ def test_detect_static_subject_flat():
 def test_detect_two_warnings_like_session():
     # two-trigger session shape: warnings at 25 s and 45 s
     amp = 10.0 * velocity_noise_std(0.004, 33, 30.0)
-    burst = BurstSpec(350.0, 54.75, amp, center_offset_ms=219.0 - FRAME_MS / 2.0)
+    burst = BurstSpec(350.0, 54.75, amp)
     stream, truths = gen_pose_stream(
         60000, 30.0, [25000.0, 45000.0], [burst, burst], NoiseSpec(0.004), seed=9
     )
@@ -309,6 +330,49 @@ def test_detect_two_warnings_like_session():
     # one pass per stream: both estimates hold the same pipeline objects
     assert ests[0].convolution is ests[1].convolution
     assert ests[0].velocity is ests[1].velocity and ests[0].kernel is ests[1].kernel
+
+
+def test_uniform_onsets_with_natural_placement_are_unbiased():
+    # onsets uniform in [50, 450] ms, each burst at BurstSpec's default placement (peak 4 sigma = D/2
+    # after the onset): the estimates are neither late nor early on average
+    errors = []
+    for i in range(400):
+        rng = np.random.default_rng(60_000 + i)
+        baseline, onset, snr = (float(x) for x in rng.uniform([400.0, 50.0, 5.0], [600.0, 450.0, 10.0]))
+        burst = BurstSpec(onset, baseline / 8.0, snr * velocity_noise_std(0.004, 33, 30.0))
+        seed = int(rng.integers(2**63 - 1))
+        stream, _ = gen_pose_stream(60000, 30.0, [25000.0], [burst], NoiseSpec(0.004), seed=seed)
+        (est,) = detect(stream, [25000.0], baseline, DEFAULT_WINDOW_STATS)
+        errors.append(est.rt_ms - onset)
+    errors = np.array(errors)
+    assert abs(errors.mean()) <= 2.0
+    assert np.mean(np.abs(errors) <= FRAME_MS + 1e-9) >= 0.98
+
+
+def test_truncated_recording_window_past_the_kernel_reach_raises():
+    # a 62 s recording and its first 60 s: in the cut copy the window [58940, 59940] ms reaches
+    # outputs whose kernel crosses the end, where the zero padding would set the peak
+    amp = 10.0 * velocity_noise_std(0.004, 33, 30.0)
+    whole, _ = gen_pose_stream(62000, 30.0, [58940.0], [BurstSpec(740.0, 438.0 / 8.0, amp)], NoiseSpec(0.004), seed=3)
+    (est,) = detect(whole, [58940.0], 438.0, DEFAULT_WINDOW_STATS)
+    assert abs(est.rt_ms - 740.0) <= FRAME_MS + 1e-9
+    keep = whole.timestamps_ms < 60000.0
+    cut = dataclasses.replace(
+        whole,
+        frame_index=whole.frame_index[keep],
+        timestamps_ms=whole.timestamps_ms[keep],
+        coords=whole.coords[keep],
+        visibility=whole.visibility[keep],
+    )
+    with pytest.raises(GapInWindow):
+        detect(cut, [58940.0], 438.0, DEFAULT_WINDOW_STATS)
+    # a window ending exactly on the last output whose kernel is whole still passes
+    kernel = build_kernel(438.0, FRAME_MS)
+    conv = convolve(velocity_series(select_upper_body(cut)), kernel)
+    last = conv.t_ms[len(conv) - 1 - (len(kernel) - 1) // 2]
+    assert (last - 1000.0) + 1000.0 == last
+    (est,) = detect(cut, [last - 1000.0], 438.0, DEFAULT_WINDOW_STATS)
+    assert est.window.end_ms == last
 
 
 def test_detect_window_too_small_for_kernel():
@@ -345,7 +409,10 @@ def test_nan_inside_window_raises_non_finite():
         detect(stream, [25000.0], 438.0, (438.0, 154.0))
     frames = info.value.frame_indices
     assert frames and 780 in frames
-    assert all(25000.0 <= f * FRAME_MS <= 26000.0 + FRAME_MS for f in frames)
+    # exactly the frames whose outputs lie in the window and are not finite
+    conv = convolve(velocity_series(select_upper_body(stream)), build_kernel(438.0, FRAME_MS))
+    inside = (conv.t_ms >= 25000.0) & (conv.t_ms <= 26000.0) & ~np.isfinite(conv.values)
+    assert frames == conv.frame_index[inside].tolist()
 
 
 def test_detect_report_shape():

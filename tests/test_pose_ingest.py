@@ -245,6 +245,29 @@ def test_parse_short_row_names_its_fields_and_the_headers(tmp_path, row, fields)
     assert str(info.value) == f"line 35: bad row: {fields} field(s), the header has 7"
 
 
+def test_parse_row_with_more_fields_than_the_header_is_a_bad_row(tmp_path):
+    # line 6 of a CRLF file, with ",9,9" before its line end
+    lines = block_edge_lines(2)
+    lines[5] += ",9,9"
+    path = tmp_path / "long.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    with pytest.raises(ParseError) as info:
+        parse_pose_stream(path)
+    assert str(info.value) == "line 6: bad row: 9 field(s), the header has 7"
+
+
+def test_parse_row_without_an_unread_column_is_a_bad_row(tmp_path):
+    # the header's extra "presence" column is not read, but every row must have it
+    lines = [block_edge_lines(2)[0] + ",presence", *(line + ",yes" for line in edge_case_body(2))]
+    path = tmp_path / "presence.csv"
+    path.write_text("\n".join(lines) + "\n")
+    ts, coords = edge_case_arrays(2)
+    stream = parse_pose_stream(path)
+    assert np.array_equal(stream.timestamps_ms, ts) and np.array_equal(stream.coords, coords)
+    lines[40] = lines[40].rsplit(",", 1)[0]
+    assert parse_error(path, lines, ParseError) == "line 41: bad row: 7 field(s), the header has 8"
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_parse_bad_last_field_is_quoted_without_the_line_end(tmp_path, end):
     lines = block_edge_lines(2)

@@ -118,7 +118,7 @@ def test_clean_burst_velocity_pulse_shape():
 
 def test_clean_burst_detector_recovery():
     amp = 10.0 * velocity_noise_std(0.004, 33, 30.0)
-    burst = BurstSpec(400.0, 438.0 / 8.0, amp, center_offset_ms=219.0 - FRAME_MS / 2.0)
+    burst = BurstSpec(400.0, 438.0 / 8.0, amp)
     stream, _ = gen_pose_stream(60000, 30.0, [25000.0], [burst], NoiseSpec(0.0), seed=2)
     (est,) = detect(stream, [25000.0], 438.0, (438.0, 154.0))
     assert abs(est.rt_ms - 400.0) <= FRAME_MS + 1e-9
