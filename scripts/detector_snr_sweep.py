@@ -8,6 +8,7 @@ mismatch) at each amplitude/noise ratio and prints the error table.
 """
 
 import argparse
+import math
 
 from rtkit.trials import snr_sweep
 
@@ -19,7 +20,19 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args()
 
-    snrs = [float(s) for s in args.snrs.split(",")]
+    # every check runs before the first trial, so a bad argument costs no trials and prints no table
+    try:
+        snrs = [float(s) for s in args.snrs.split(",")]
+    except ValueError:
+        ap.error(f"--snrs must be a comma-separated list of numbers, got {args.snrs!r}")
+    if not all(0.0 < s < math.inf for s in snrs):
+        ap.error(f"--snrs must be finite and above 0, got {args.snrs!r}")
+    if len(set(snrs)) != len(snrs):
+        ap.error(f"--snrs must be distinct (the table has one row per SNR), got {args.snrs!r}")
+    if args.trials < 1:
+        ap.error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        ap.error(f"--seed must be at least 0, got {args.seed}")
     table = snr_sweep(snrs=snrs, n_trials=args.trials, base_seed=args.seed)
 
     cols = ("snr", "n", "fails", "within_1fr", "within_2fr", "median_ms", "p95_ms")

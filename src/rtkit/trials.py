@@ -3,8 +3,11 @@
 One trial draws a participant baseline, builds a matched burst (width
 within +/-25% of the kernel width, peak placed half a kernel duration
 after the onset so the generator and detector share one pattern-duration
-convention), injects it into a noisy 60 s stream and runs the full
-detection pipeline.
+convention), injects it into a noisy 27 s stream and runs the full
+detection pipeline. The stream ends 2 s after its one warning because
+nothing a trial returns reads a later frame: the draw fills frames in
+order, so the stream is a prefix of any longer one drawn from the same
+seed, and only the median frame spacing can move (by ulps).
 
 SNR is the burst's peak velocity amplitude over the analytic velocity-noise
 floor of the generated full-body stream; the detector's upper-body
@@ -24,8 +27,13 @@ from .pose import N_LANDMARKS
 from .synth import DEFAULT_WINDOW_STATS, BurstSpec, NoiseSpec, gen_pose_stream, velocity_noise_std
 
 FPS = 30.0
-DURATION_MS = 60000.0
 WARNING_T_MS = 25000.0
+# The stream must cover (a) the detector's reach: the 1 s default window, half
+# the longest kernel (19 samples at a 600 ms baseline) and one frame, which
+# ends by 26.4 s (at 26.3 s the longest kernel raises GapInWindow); and (b)
+# the burst's support, which ends at most at 25000 + 450 + 300 + 4 * 93.75
+# = 26125 ms. 27 s (810 frames) covers both.
+DURATION_MS = WARNING_T_MS + 2000.0
 NOISE_SIGMA = 0.004
 SIGMA_MISMATCH = 0.25
 FRAME_MS = 1000.0 / FPS
@@ -77,7 +85,12 @@ def run_detection_trial(seed: int, snr: float) -> TrialResult:
 
 
 def error_summary(results: list[TrialResult]) -> dict:
-    """Share of trials within 1 and 2 frames, plus error quantiles."""
+    """Share of trials within 1 and 2 frames, plus error quantiles.
+
+    Raises ValueError when there are no trials, whose shares are undefined.
+    """
+    if not results:
+        raise ValueError("no trials to summarize")
     errors = np.array([abs(r.error_ms) for r in results if r.ok])
     n = len(results)
     failed = n - len(errors)

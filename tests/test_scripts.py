@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -18,6 +20,25 @@ def test_snr_sweep_header_splits_into_column_names():
     header, *rows = run_script("detector_snr_sweep.py", "--seed", "1", "--trials", "2", "--snrs", "5")
     assert header.split() == ["snr", "n", "fails", "within_1fr", "within_2fr", "median_ms", "p95_ms"]
     assert len(rows) == 1 and len(rows[0].split()) == 7
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "1", "--trials", "0"], "--trials must be at least 1"),
+        (["--seed", "1", "--trials", "2", "--snrs", "5,5"], "--snrs must be distinct"),
+        (["--seed", "1", "--trials", "2", "--snrs", "5,nan"], "--snrs must be finite and above 0"),
+        (["--seed", "-1", "--trials", "2"], "--seed must be at least 0"),
+    ],
+    ids=["no-trials", "repeated-snr", "nan-snr", "negative-seed"],
+)
+def test_snr_sweep_refuses_bad_arguments_before_any_trial(argv, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "detector_snr_sweep.py"), *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage:") and message in proc.stderr
 
 
 def load_bench_ab():

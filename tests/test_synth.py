@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from rtkit import trials
 from rtkit.detector import detect
-from rtkit.errors import BadParams, SpecError
+from rtkit.errors import BadParams, GapInWindow, SpecError
 from rtkit.kinematics import velocity_series
 from rtkit.pose import select_upper_body, validate_stream, write_pose_stream
 from rtkit.spectral import cwt_gaus2, fft_magnitude
 from rtkit.stats import Method, Setting
 from rtkit.synth import (
     AFFECTED_LANDMARKS,
+    DEFAULT_WINDOW_STATS,
     REFERENCE_SRT_CELLS,
     REFERENCE_VISION_CELLS,
     BurstSpec,
@@ -249,6 +251,51 @@ def test_detection_trial_smoke():
     summary = error_summary(results)
     assert summary["n"] == 20
     assert summary["within_1_frame"] >= 0.9
+
+
+def test_error_summary_of_no_trials_is_value_error():
+    with pytest.raises(ValueError, match="no trials"):
+        error_summary([])
+
+
+@pytest.mark.parametrize("snr", [2.0, 7.5])
+def test_short_trial_stream_matches_a_60_s_stream(monkeypatch, snr):
+    short = [run_detection_trial(seed, snr) for seed in range(300, 340)]
+    monkeypatch.setattr(trials, "DURATION_MS", 60000.0)
+    full = [run_detection_trial(seed, snr) for seed in range(300, 340)]
+    for s, f in zip(short, full):
+        assert (s.seed, s.snr, s.onset_ms, s.baseline_rt_ms, s.burst_sigma_ms, s.ok) == (
+            f.seed, f.snr, f.onset_ms, f.baseline_rt_ms, f.burst_sigma_ms, f.ok
+        )
+        if f.ok:
+            # only the median frame spacing moves, by ulps
+            assert abs(s.rt_ms - f.rt_ms) <= 1e-9 and abs(s.error_ms - f.error_ms) <= 1e-9
+
+
+def _extreme_trial_stream(duration_ms):
+    """The latest-reaching draw: the longest kernel, the widest burst, the latest onset, the peak at D/2."""
+    baseline = math.nextafter(600.0, 0.0)
+    burst = BurstSpec(
+        onset_ms=450.0,
+        burst_sigma_ms=(1.0 + trials.SIGMA_MISMATCH) * baseline / 8.0,
+        burst_amplitude=5.0 * velocity_noise_std(trials.NOISE_SIGMA, 33, trials.FPS),
+        center_offset_ms=baseline / 2.0,
+    )
+    stream, _ = gen_pose_stream(
+        duration_ms, trials.FPS, [trials.WARNING_T_MS], [burst], NoiseSpec(trials.NOISE_SIGMA), seed=0
+    )
+    return stream, baseline
+
+
+def test_trial_stream_covers_the_detector_reach_of_the_extreme_draw():
+    stream, baseline = _extreme_trial_stream(trials.DURATION_MS)
+    (est,) = detect(stream, [trials.WARNING_T_MS], baseline, DEFAULT_WINDOW_STATS)
+    assert len(est.kernel) == 19
+    assert abs(est.rt_ms - 450.0) <= 2 * FRAME_MS
+    # cut at 26.3 s, the longest kernel no longer fits after the window
+    stream, baseline = _extreme_trial_stream(26300.0)
+    with pytest.raises(GapInWindow):
+        detect(stream, [trials.WARNING_T_MS], baseline, DEFAULT_WINDOW_STATS)
 
 
 def test_nan_center_offset_is_outside_the_recording():
